@@ -69,9 +69,6 @@ class GridSpec:
     def compatible(self, other: "GridSpec") -> bool:
         return self == other
 
-    def cell_centers_1d(self) -> np.ndarray:
-        return self.origin[0] + (np.arange(self.n) + 0.5) * self.h
-
     def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
         h = self.h
         return (self.origin[0] + (ix + 0.5) * h, self.origin[1] + (iy + 0.5) * h)

@@ -20,7 +20,6 @@ from scipy.signal import convolve as _direct_convolve
 from .raster import GridSpec, ScalarField
 
 __all__ = [
-    "dyadic_level_bounds",
     "lp_norm",
     "martingale_average",
     "martingale_difference",
@@ -126,13 +125,6 @@ def poisson_smooth(field: ScalarField, t: float) -> ScalarField:
 # ---------------------------------------------------------------------------
 # Dyadic martingale averages.
 # ---------------------------------------------------------------------------
-
-
-def dyadic_level_bounds(grid: GridSpec) -> tuple[int, int]:
-    """Inclusive range of levels k whose squares of side 2^-k the grid resolves."""
-    k_max = round(math.log2(grid.n / grid.side))
-    k_min = k_max - round(math.log2(grid.n))
-    return k_min, k_max
 
 
 def _level_depth(grid: GridSpec, k: int) -> int:

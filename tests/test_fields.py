@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from pinbeam import CurveParams, GridSpec, build_cutoff, support_radius
-from pinbeam.fields import _USE_NUMBA, _extremal_numpy, extremal_conv_field, shift_table
+from pinbeam.fields import (
+    _MODES,
+    MODE_ABSMAX,
+    MODE_MAX,
+    MODE_MIN,
+    _extremal_bands,
+    extremal_conv_field,
+    shift_table,
+)
 from pinbeam.kernel import t_grid
 
 P = CurveParams(2.0, 1.0, 2.4)
@@ -69,15 +77,94 @@ def test_engine_with_base_matches_brute_force(small_case):
     assert np.abs(got - want).max() < 1e-12
 
 
-@pytest.mark.skipif(not _USE_NUMBA, reason="numba path disabled")
-def test_numba_and_numpy_paths_agree_bitwise(small_case):
+def reference_shift_table(cutoff, grid, ts):
+    """Per-scale grouping: one np.unique and one bincount per scale."""
+    h = grid.h
+    dxs, dys, ws, tptr = [], [], [], [0]
+    for t in ts:
+        sx = np.floor(0.5 + (t / h) * cutoff.nodes).astype(np.int64)
+        sy = np.floor(0.5 + (t / h) * cutoff.node_powers).astype(np.int64)
+        uniq, inv = np.unique(np.stack([sx, sy], axis=1), axis=0, return_inverse=True)
+        ws.append(np.bincount(inv.ravel(), weights=cutoff.weights, minlength=uniq.shape[0]))
+        dxs.append(uniq[:, 0])
+        dys.append(uniq[:, 1])
+        tptr.append(tptr[-1] + uniq.shape[0])
+    return np.concatenate(dxs), np.concatenate(dys), np.concatenate(ws), np.asarray(tptr)
+
+
+def reference_extremal(q, dx, dy, w, tptr, base, mode, out):
+    """Unpadded per-group accumulation: the summation order the engine must keep."""
+    n = q.shape[0]
+    acc = np.empty_like(q)
+    for k in range(tptr.shape[0] - 1):
+        acc[:] = 0.0
+        for g in range(tptr[k], tptr[k + 1]):
+            sx, sy, wg = int(dx[g]), int(dy[g]), w[g]
+            if sy >= n or sx >= n or sy < -n or sx < -n:
+                continue
+            r0, r1 = max(0, -sy), min(n, n - sy)
+            c0, c1 = max(0, -sx), min(n, n - sx)
+            if r0 < r1 and c0 < c1:
+                acc[r0:r1, c0:c1] += wg * q[r0 + sy : r1 + sy, c0 + sx : c1 + sx]
+        val = acc - base
+        if mode == MODE_ABSMAX:
+            np.abs(val, out=val)
+        if k == 0:
+            out[:] = val
+        elif mode == MODE_MIN:
+            np.minimum(out, val, out=out)
+        else:
+            np.maximum(out, val, out=out)
+
+
+def hand_table(n):
+    """Three scales of shifts, negative ones and ones at n - 1, n and beyond
+    included; the last scale has no group inside the window."""
+    dx = np.array([-3, 0, 0, 2, n - 1, n, -(n - 1), 1, -n, 5, n + 4, -(n + 2)])
+    dy = np.array([1, -2, 0, n - 1, 0, 3, -1, -(n - 1), 0, n + 1, 0, 2])
+    tptr = np.array([0, 5, 9, 12])
+    w = np.random.default_rng(3).random(dx.shape[0])
+    return dx, dy, w, tptr
+
+
+@pytest.mark.parametrize(
+    "mode, with_base", [(MODE_MAX, False), (MODE_ABSMAX, True), (MODE_MIN, False), (MODE_MIN, True)]
+)
+@pytest.mark.parametrize("split", [False, True])
+def test_bands_match_reference_bitwise(mode, with_base, split):
+    n = 13
+    rng = np.random.default_rng(5)
+    q = rng.random((n, n)) - 0.25
+    q[2, :4] = -0.0  # products of -0.0 must not leave a signed zero in the sum
+    base = rng.random((n, n)) if with_base else None
+    dx, dy, w, tptr = hand_table(n)
+    want = np.empty((n, n))
+    reference_extremal(q, dx, dy, w, tptr, np.zeros((n, n)) if base is None else base, mode, want)
+    got = np.empty((n, n))
+    bands = [(0, 7), (7, n)] if split else [(0, n)]
+    _extremal_bands(q, dx, dy, w, tptr, base, mode, got, bands)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["max", "absmax", "min"])
+def test_engine_matches_reference_bitwise(small_case, mode):
     grid, cutoff, q, interval, ts = small_case
-    dx, dy, w, tptr = shift_table(cutoff, grid, ts)
-    base = np.zeros_like(q)
-    out_np = np.empty_like(q)
-    _extremal_numpy(q, dx, dy, w, tptr, base, 1, out_np)
-    out = extremal_conv_field(q, grid, cutoff, interval, "absmax")
-    assert (out == out_np).all()
+    base = np.full_like(q, 0.3) if mode == "absmax" else np.zeros_like(q)
+    want = np.empty_like(q)
+    reference_extremal(q, *reference_shift_table(cutoff, grid, ts), base, _MODES[mode], want)
+    got = extremal_conv_field(q, grid, cutoff, interval, mode, base=base)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, nodes, interval", [(16, 16, (0.0625, 0.125)), (256, 64, (2.0**-6, 2.0**-5))])
+def test_shift_table_matches_per_scale_table(n, nodes, interval):
+    grid = GridSpec(n)
+    cutoff = build_cutoff(P, nodes, 0.5)
+    ts = t_grid(*interval, grid.h, support_radius(P))
+    got = shift_table(cutoff, grid, ts)
+    want = reference_shift_table(cutoff, grid, ts)
+    for g, e in zip(got, want):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
 
 
 def test_shift_weights_sum_to_one(small_case):
