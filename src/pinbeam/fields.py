@@ -130,8 +130,8 @@ def _extremal_bands(q, dx, dy, w, tptr, base, mode, out, bands):
     keep = (np.abs(dx) < n) & (np.abs(dy) < n)
     tptr = np.concatenate([[0], np.cumsum(keep)])[tptr].tolist()
     dx, dy, w = dx[keep], dy[keep], w[keep]
-    lo = max(0, -int(dx.min(initial=0)))
-    width = lo + n + max(0, int(dx.max(initial=0)))
+    lo = -int(dx.min(initial=0))
+    width = lo + n + int(dx.max(initial=0))
     # Rows of q with lo zeros before and the rest of width after each, plus
     # one zero row so that a window starting in the last row stays inside.
     qf = np.zeros((n + 1, width))

@@ -1,6 +1,7 @@
 """Field-engine correctness against an independent per-cell reimplementation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -130,8 +131,10 @@ def hand_table(n):
 @pytest.mark.parametrize(
     "mode, with_base", [(MODE_MAX, False), (MODE_ABSMAX, True), (MODE_MIN, False), (MODE_MIN, True)]
 )
-@pytest.mark.parametrize("split", [False, True])
-def test_bands_match_reference_bitwise(mode, with_base, split):
+@pytest.mark.parametrize(
+    "bands", [[(0, 13)], [(0, 7), (7, 13)], [(0, 1), (1, 3), (3, 4), (4, 9), (9, 12), (12, 13)]]
+)
+def test_bands_match_reference_bitwise(mode, with_base, bands):
     n = 13
     rng = np.random.default_rng(5)
     q = rng.random((n, n)) - 0.25
@@ -141,8 +144,13 @@ def test_bands_match_reference_bitwise(mode, with_base, split):
     want = np.empty((n, n))
     reference_extremal(q, dx, dy, w, tptr, np.zeros((n, n)) if base is None else base, mode, want)
     got = np.empty((n, n))
-    bands = [(0, 7), (7, n)] if split else [(0, n)]
-    _extremal_bands(q, dx, dy, w, tptr, base, mode, got, bands)
+    # switch threads as often as possible, so that bands interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _extremal_bands(q, dx, dy, w, tptr, base, mode, got, bands)
+    finally:
+        sys.setswitchinterval(interval)
     assert got.tobytes() == want.tobytes()
 
 
