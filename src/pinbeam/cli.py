@@ -286,7 +286,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     prospect(raster, default_ladder(2), params, _sampling(cfg))
-    rows.append(("prospect", time.perf_counter() - t0))
+    rows.append(("prospect first cell", time.perf_counter() - t0))
+
+    # Every cell fails both blocks, so the scan runs over all 6,144 cells.
+    strip_params = CurveParams(2.0, 1.0, 1.05)
+    strips = constructions.dead_strip_set(128, strip_params, default_ladder(2), 2)
+    t0 = time.perf_counter()
+    prospect(strips, default_ladder(2), strip_params, _sampling(cfg))
+    rows.append(("prospect exhaustion", time.perf_counter() - t0))
 
     for name, dt in rows:
         print(f"{name:24s} {dt * 1000:10.1f} ms")

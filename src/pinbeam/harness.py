@@ -26,7 +26,13 @@ import numpy as np
 
 from .fields import extremal_conv_field
 from .kernel import Cutoff, CurveParams, support_radius, t_grid
-from .prospect import ResolutionError, ScaleLadder, dyadic_round_down, is_dyadic
+from .prospect import (
+    ResolutionError,
+    ScaleLadder,
+    check_arc_resolution,
+    dyadic_round_down,
+    is_dyadic,
+)
 from .raster import RasterSet, ScalarField, complement_in_window, indicator, measure
 from .smoothing import lp_norm, martingale_average, poisson_smooth_multi
 
@@ -261,9 +267,7 @@ def check_smallt_scaling(
     g = complement_in_window(a)
     b, c = ladder.block(j)
     theta = cutoff.params.theta
-    if theta * b < grid.h:
-        n_min = 2 ** math.ceil(math.log2(grid.side / (theta * b)))
-        raise ResolutionError(f"block {j} arcs are below cell size {grid.h:g}", n_min)
+    check_arc_resolution(grid, theta, b, f"block {j}")
     mx = math.ceil(theta * b / grid.h) + 1
     my = math.ceil(theta ** cutoff.params.beta * b / grid.h) + 1
     if mx >= grid.n or my >= grid.n:

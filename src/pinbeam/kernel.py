@@ -187,6 +187,8 @@ class Cutoff:
             raise ValueError("nodes and weights must be matching nonempty 1-d arrays")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
+        if np.any(nodes <= 0):
+            raise ValueError("nodes must be positive: the arc lies in u > 0")
         powers = nodes ** self.params.beta
         for arr in (nodes, weights, powers):
             arr.setflags(write=False)

@@ -7,6 +7,16 @@ scale block into an interval of curve coefficients and records one witness
 per sampled scale, so its claim is finitely checkable by direct membership
 lookups.  Exponents below 1 route through the coordinate swap and the
 certificate is expressed back in the caller's system.
+
+Sample points follow the one convention of ``raster.cells_of_points``.  A
+sample at offset (t u, t u^beta) from the centre of cell (ix, iy) lies in
+cell (ix + sx, iy + sy) with (sx, sy) = floor(1/2 + (t u, t u^beta) / h), so
+the scan reads integer offsets from a zero-padded bitmap, one gather per
+batch of cells.  This is a shortcut, kept exact by a tie guard: a scale with
+some 1/2 + t u / h or 1/2 + t u^beta / h within rounding distance of an
+integer (a sample on or next to a cell edge, the window's far edge among
+them) is looked up through ``cells_of_points`` instead.  The scan's outcome
+is therefore the one that per-point lookups give, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ __all__ = [
     "ResolutionError",
     "SamplingConfig",
     "ScaleLadder",
+    "check_arc_resolution",
     "default_ladder",
     "dyadic_round_down",
     "dyadic_round_up",
@@ -217,18 +228,15 @@ def _working_system(a: RasterSet, params: CurveParams, sampling: SamplingConfig)
     return _WorkingSystem(work_raster, work_params, cutoff, swapped)
 
 
-def _check_ladder_resolution(grid: GridSpec, ladder: ScaleLadder, theta: float) -> None:
-    b_last, c_last = ladder.block(ladder.depth)
-    if theta * b_last < grid.h:
-        n_min = 2 ** math.ceil(math.log2(grid.side / (theta * b_last)))
-        raise ResolutionError(
-            f"finest ladder block (b_J={b_last:g}) has arcs below cell size {grid.h:g}",
-            n_min,
-        )
+def check_arc_resolution(grid: GridSpec, theta: float, b: float, what: str) -> None:
+    """Raise ResolutionError if arcs at scale b (length about theta * b) are below a cell."""
+    if theta * b < grid.h:
+        n_min = 2 ** math.ceil(math.log2(grid.side / (theta * b)))
+        raise ResolutionError(f"{what} arcs are below cell size {grid.h:g}", n_min)
 
 
 def _scan_cells(work: RasterSet, sampling: SamplingConfig) -> np.ndarray:
-    cells = np.argwhere(work.bitmap)  # (k, 2) rows (iy, ix), row-major order
+    cells = np.flatnonzero(work.bitmap)  # iy * n + ix, row-major order
     if sampling.subsample is not None and cells.shape[0] > sampling.subsample:
         rng = np.random.default_rng(sampling.seed)
         keep = rng.choice(cells.shape[0], size=sampling.subsample, replace=False)
@@ -236,23 +244,107 @@ def _scan_cells(work: RasterSet, sampling: SamplingConfig) -> np.ndarray:
     return cells
 
 
-def _block_tables(work: _WorkingSystem, ladder: ScaleLadder, min_per_octave: int):
+# Elements of one gather's index matrix (cells x offsets, int64): a batch of
+# cells meets a block in chunks of about this size, which bounds peak memory.
+_GATHER_ELEMS = 2**18
+
+
+@dataclass(frozen=True)
+class _Block:
+    """One ladder block's scale samples and their integer cell offsets.
+
+    ``distinct`` holds the block's distinct in-range offsets sy * width + sx
+    into the padded bitmap.  ``rows`` lists, scale by scale, the distinct
+    offsets each scale reads, and ``starts`` indexes the first entry of each
+    scale in ``filled`` (scales with no in-range offset read 0).  ``ties``
+    lists the scales that take the float lookup.
+    """
+
+    ts: np.ndarray
+    ox: np.ndarray
+    oy: np.ndarray
+    ratio: float
+    distinct: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+    filled: np.ndarray
+    ties: np.ndarray
+
+
+def _block(
+    work: _WorkingSystem, ladder: ScaleLadder, j: int, min_per_octave: int, width: int
+) -> _Block:
     grid = work.raster.grid
-    radius = support_radius(work.params)
-    tables = []
-    for j in range(1, ladder.depth + 1):
-        b, c = ladder.block(j)
-        ts = t_grid(c, b, grid.h, radius, min_per_octave)
-        ox = np.outer(ts, work.cutoff.nodes)
-        oy = np.outer(ts, work.cutoff.node_powers)
-        ratio = (b / c) ** (1.0 / (len(ts) - 1)) if len(ts) > 1 else 1.0
-        tables.append((ts, ox, oy, ratio))
-    return tables
+    n, h = grid.n, grid.h
+    b, c = ladder.block(j)
+    ts = t_grid(c, b, h, support_radius(work.params), min_per_octave)
+    ox = np.outer(ts, work.cutoff.nodes)
+    oy = np.outer(ts, work.cutoff.node_powers)
+    ratio = (b / c) ** (1.0 / (len(ts) - 1)) if len(ts) > 1 else 1.0
+    # Bound on the gap between floor(1/2 + t u / h) and the per-point
+    # lookup's float path, floor((x0 + (ix + 1/2) h + t u - x0) / h) - ix,
+    # and likewise in y; a scale with a sample this close to an edge is a tie.
+    x0, y0 = grid.origin
+    extent = abs(x0) + abs(y0) + grid.side + max(ox.max(), oy.max())
+    margin = 8.0 * np.finfo(np.float64).eps * extent / h
+    near = np.zeros(len(ts), dtype=bool)
+    shifts = []
+    for off in (ox, oy):
+        f = off / h
+        f += 0.5
+        s = np.floor(f)
+        f -= s
+        f -= 0.5
+        near |= (np.abs(f, out=f) >= 0.5 - margin).any(axis=1)
+        shifts.append(s.astype(np.int64))
+    sx, sy = shifts
+    keep = (sx < n) & (sy < n)
+    # Nodes ascend and beta > 1, so repeated offsets within a scale are adjacent.
+    keep[:, 1:] &= (sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1])
+    counts = keep.sum(axis=1)
+    filled = counts > 0
+    # Neighbouring scales move arcs by at most half a cell, so they share most
+    # offsets: gathering each distinct offset once saves most of the reads.
+    distinct, rows = np.unique((sy * width + sx)[keep], return_inverse=True)
+    return _Block(
+        ts=ts,
+        ox=ox,
+        oy=oy,
+        ratio=ratio,
+        distinct=distinct,
+        rows=rows,
+        starts=(np.cumsum(counts) - counts)[filled],
+        filled=filled,
+        ties=np.flatnonzero(near),
+    )
 
 
-def _hits_matrix(work_raster: RasterSet, xc: float, yc: float, ox, oy) -> np.ndarray:
+def _hits_matrix(work_raster: RasterSet, xc, yc, ox, oy) -> np.ndarray:
     ix, iy, inside = cells_of_points(work_raster.grid, xc + ox, yc + oy)
     return inside & work_raster.bitmap[iy, ix]
+
+
+def _first_misses(
+    blk: _Block, padded: np.ndarray, flat: np.ndarray, xc, yc, work_raster: RasterSet
+) -> np.ndarray:
+    """Per cell, the index of the first scale without a witness (len(ts) if none)."""
+    n_scales = len(blk.ts)
+    out = np.empty(len(flat), dtype=np.intp)
+    step = max(1, _GATHER_ELEMS // max(1, blk.distinct.size))
+    for lo in range(0, len(flat), step):
+        hi = min(lo + step, len(flat))
+        hit = np.zeros((n_scales, hi - lo), dtype=bool)
+        if blk.rows.size:
+            # Cells are packed 8 to a byte, so the OR over each scale's offsets
+            # runs along whole rows of bytes.
+            bits = np.packbits(padded[blk.distinct[:, None] + flat[lo:hi]], axis=1)
+            anyhit = np.bitwise_or.reduceat(bits[blk.rows], blk.starts, axis=0)
+            hit[blk.filled] = np.unpackbits(anyhit, axis=1, count=hi - lo).view(bool)
+        for k in blk.ties:
+            xs, ys = xc[lo:hi, None], yc[lo:hi, None]
+            hit[k] = _hits_matrix(work_raster, xs, ys, blk.ox[k], blk.oy[k]).any(axis=1)
+        out[lo:hi] = np.where(hit.all(axis=0), n_scales, hit.argmin(axis=0))
+    return out
 
 
 def _certificate(
@@ -315,27 +407,60 @@ def prospect(
     if a.cell_count == 0:
         raise ValueError("cannot prospect an empty set")
     work = _working_system(a, params, sampling)
-    _check_ladder_resolution(work.raster.grid, ladder, work.params.theta)
-    tables = _block_tables(work, ladder, sampling.min_per_octave)
-    cells = _scan_cells(work.raster, sampling)
     grid = work.raster.grid
-    h = grid.h
+    b_last = ladder.block(ladder.depth)[0]
+    check_arc_resolution(grid, work.params.theta, b_last, f"finest ladder block (b_J={b_last:g})")
+    cells = _scan_cells(work.raster, sampling)
+    n, h = grid.n, grid.h
     x0, y0 = grid.origin
 
-    exhaustion: list = []
-    for iy, ix in cells:
+    # Offsets are nonnegative (arc nodes are positive) and below the widest
+    # block's reach, so padding the far sides by that reach, at most n, lets
+    # every in-range offset read a zero instead of leaving the window.
+    cutoff = work.cutoff
+    reach = ladder.block(1)[0] * max(cutoff.nodes.max(), cutoff.node_powers.max()) / h
+    width = n + min(n, math.ceil(reach) + 1)
+    padded = np.zeros((width, width), dtype=bool)
+    padded[:n, :n] = work.raster.bitmap
+    padded = padded.ravel()
+
+    # Batches double from one cell, so an early certificate costs little; a
+    # later block only sees the cells before the batch's first certified one.
+    blocks: dict[int, _Block] = {}
+    points: list = []
+    start, size = 0, 1
+    while start < len(cells):
+        iy, ix = np.divmod(cells[start : start + size], n)
+        flat = iy * width + ix
         xc = x0 + (ix + 0.5) * h
         yc = y0 + (iy + 0.5) * h
-        violations = []
-        for j, (ts, ox, oy, ratio) in enumerate(tables, start=1):
-            hits = _hits_matrix(work.raster, xc, yc, ox, oy)
-            ok_t = hits.any(axis=1)
-            if ok_t.all():
-                return _certificate(params, work.swapped, xc, yc, j, ts, ox, oy, ratio, hits)
-            violations.append((j, float(ts[int(ok_t.argmin())])))
-        point = (yc, xc) if work.swapped else (xc, yc)
-        exhaustion.append(((float(point[0]), float(point[1])), tuple(violations)))
-    return ExhaustionReport(ladder=ladder, points=tuple(exhaustion), scanned=len(cells))
+        viol_t = np.empty((len(flat), ladder.depth))
+        limit, cert_j = len(flat), 0
+        for j in range(1, ladder.depth + 1):
+            if limit == 0:
+                break
+            if j not in blocks:
+                blocks[j] = _block(work, ladder, j, sampling.min_per_octave, width)
+            blk = blocks[j]
+            miss = _first_misses(blk, padded, flat[:limit], xc[:limit], yc[:limit], work.raster)
+            passed = miss == len(blk.ts)
+            if passed.any():
+                limit, cert_j = int(passed.argmax()), j
+            viol_t[:limit, j - 1] = blk.ts[miss[:limit]]
+        if cert_j:
+            blk = blocks[cert_j]
+            hits = _hits_matrix(work.raster, xc[limit], yc[limit], blk.ox, blk.oy)
+            return _certificate(
+                params, work.swapped, xc[limit], yc[limit], cert_j, blk.ts, blk.ox, blk.oy,
+                blk.ratio, hits,
+            )
+        px, py = (yc, xc) if work.swapped else (xc, yc)
+        points.extend(
+            ((x, y), tuple(zip(range(1, ladder.depth + 1), row)))
+            for x, y, row in zip(px.tolist(), py.tolist(), viol_t.tolist())
+        )
+        start, size = start + len(flat), 2 * size
+    return ExhaustionReport(ladder=ladder, points=tuple(points), scanned=len(cells))
 
 
 # ---------------------------------------------------------------------------

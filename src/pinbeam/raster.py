@@ -134,12 +134,17 @@ def integral(field: ScalarField) -> float:
 
 
 def cells_of_points(grid: GridSpec, xs: np.ndarray, ys: np.ndarray):
-    """Canonical cell lookup for arbitrary points.
+    """Canonical cell lookup for arbitrary points: the one sampling convention.
 
-    A point belongs to the half-open cell containing it; points on the
-    window's far edges clamp to the last cell.  Returns integer index
-    arrays ``(ix, iy)`` plus a boolean mask of points inside the closed
-    window.
+    Cell ix covers the half-open interval [x0 + ix h, x0 + (ix + 1) h), and
+    likewise in y.  The window itself is closed: a point on its far edge
+    x = x0 + side (or y = y0 + side) is inside and clamps to the last cell.
+    Curve averages, arc carving, the ladder search and certificate
+    verification all follow it (the search through integer offsets kept
+    exact by a tie guard); only the extremal field engine in ``fields``
+    uses bare integer shifts, which read 0 on the far edge.
+    Returns integer index arrays ``(ix, iy)`` plus a boolean mask of points
+    inside the closed window.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -196,10 +201,10 @@ def _sidecar_path(path: Path) -> Path:
 
 def save_raster(a: RasterSet, path, write_sidecar: bool | None = None) -> None:
     path = Path(path)
-    lines = [f"PB {a.grid.n}"]
-    for iy in range(a.grid.n):
-        lines.append("".join("1" if v else "0" for v in a.bitmap[iy]))
-    path.write_text("\n".join(lines) + "\n")
+    n = a.grid.n
+    body = np.full((n, n + 1), ord("\n"), dtype=np.uint8)
+    body[:, :n] = np.where(a.bitmap, ord("1"), ord("0"))
+    path.write_bytes(f"PB {n}\n".encode() + body.tobytes())
     default_window = a.grid.origin == (0.0, 0.0) and a.grid.side == 1.0
     if write_sidecar or (write_sidecar is None and not default_window):
         meta = {"window_origin": list(a.grid.origin), "window_side": a.grid.side}
@@ -223,19 +228,32 @@ def load_raster(path) -> RasterSet:
     if not _is_pow2(n):
         raise ValueError(f"resolution must be a power of two, got {n}")
 
-    bitmap = np.zeros((n, n), dtype=bool)
-    offset = nl + 1
-    for iy in range(n):
-        end = raw.find(b"\n", offset)
-        row = raw[offset:end] if end >= 0 else raw[offset:]
-        if len(row) != n:
-            raise RasterParseError(f"row {iy} has {len(row)} characters, expected {n}", offset)
-        for ix, ch in enumerate(row):
-            if ch == 0x31:
-                bitmap[iy, ix] = True
-            elif ch != 0x30:
-                raise RasterParseError(f"invalid character {chr(ch)!r} in row {iy}", offset + ix)
-        offset = (end + 1) if end >= 0 else len(raw)
+    # Row iy runs from just after the iy-th newline of the body to the next
+    # newline, or to the end of the file once newlines run out.  Rows are
+    # checked in order: a row's length first, then its characters.
+    body = np.frombuffer(raw, dtype=np.uint8, offset=nl + 1)
+    breaks = np.flatnonzero(body == ord("\n"))[:n]
+    ends = np.full(n, body.size)
+    ends[: breaks.size] = breaks
+    starts = np.full(n, body.size)
+    starts[0] = 0
+    starts[1 : breaks.size + 1] = breaks[: n - 1] + 1
+    lengths = ends - starts
+    short = np.flatnonzero(lengths != n)
+    k = int(short[0]) if short.size else n  # rows before k are n chars + newline
+    if body.size < k * (n + 1):  # the last of them ends the file
+        body = np.append(body, np.uint8(ord("\n")))
+    cells = body[: k * (n + 1)].reshape(k, n + 1)[:, :n]
+    bad = np.flatnonzero((cells != ord("0")) & (cells != ord("1")))
+    if bad.size:
+        iy, ix = divmod(int(bad[0]), n)
+        offset = nl + 1 + iy * (n + 1) + ix
+        raise RasterParseError(f"invalid character {chr(cells[iy, ix])!r} in row {iy}", offset)
+    if k < n:
+        raise RasterParseError(
+            f"row {k} has {int(lengths[k])} characters, expected {n}", nl + 1 + int(starts[k])
+        )
+    bitmap = cells == ord("1")
 
     grid = GridSpec(n)
     sidecar = _sidecar_path(path)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pinbeam import (
     CurveParams,
+    Cutoff,
     GridSpec,
     RasterSet,
     ScalarField,
@@ -91,6 +92,11 @@ class TestCutoff:
             build_cutoff(P24, 4, 0.5)
         with pytest.raises(ValueError):
             build_cutoff(P24, 64, 1.0)
+
+    def test_hand_built_nodes_must_be_positive(self):
+        # the ladder scan reads nonnegative cell offsets t * u / h
+        with pytest.raises(ValueError, match="positive"):
+            Cutoff(P24, [0.0, 1.5], [0.5, 0.5], 0.5)
 
 
 class TestScaleParamMap:

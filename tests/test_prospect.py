@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from pinbeam import (
     BeamCertificate,
     CurveParams,
+    Cutoff,
     ExhaustionReport,
     GridSpec,
     RasterSet,
     SamplingConfig,
     ScaleLadder,
+    arc_hits_set,
     axis_swap,
     build_cutoff,
     default_ladder,
@@ -28,9 +31,10 @@ from pinbeam import (
     prospect,
     verify_certificate,
 )
-from pinbeam.constructions import carve_block_arcs, checkerboard
+from pinbeam.constructions import carve_block_arcs, checkerboard, dead_strip_set
 from pinbeam.kernel import support_radius, t_grid
-from pinbeam.prospect import ResolutionError
+from pinbeam.prospect import ResolutionError, _certificate, _hits_matrix, _working_system
+from pinbeam.raster import cells_of_points
 
 from conftest import full_square
 
@@ -272,6 +276,171 @@ class TestCompleteness:
             outcome = prospect(planted, ladder, P24, SamplingConfig(nodes=32))
             assert isinstance(outcome, BeamCertificate)
             assert verify_certificate(planted, outcome, 1, SamplingConfig(nodes=32)).ok
+
+
+def reference_prospect(a, ladder, params, sampling=SamplingConfig()):
+    """The per-cell, per-block point-lookup scan that the batched scan replaced."""
+    work = _working_system(a, params, sampling)
+    grid = work.raster.grid
+    radius = support_radius(work.params)
+    tables = []
+    for j in range(1, ladder.depth + 1):
+        b, c = ladder.block(j)
+        ts = t_grid(c, b, grid.h, radius, sampling.min_per_octave)
+        ox = np.outer(ts, work.cutoff.nodes)
+        oy = np.outer(ts, work.cutoff.node_powers)
+        ratio = (b / c) ** (1.0 / (len(ts) - 1)) if len(ts) > 1 else 1.0
+        tables.append((ts, ox, oy, ratio))
+    cells = np.argwhere(work.raster.bitmap)
+    if sampling.subsample is not None and cells.shape[0] > sampling.subsample:
+        rng = np.random.default_rng(sampling.seed)
+        keep = rng.choice(cells.shape[0], size=sampling.subsample, replace=False)
+        cells = cells[np.sort(keep)]
+    h = grid.h
+    x0, y0 = grid.origin
+    exhaustion = []
+    for iy, ix in cells:
+        xc = x0 + (ix + 0.5) * h
+        yc = y0 + (iy + 0.5) * h
+        violations = []
+        for j, (ts, ox, oy, ratio) in enumerate(tables, start=1):
+            hits = _hits_matrix(work.raster, xc, yc, ox, oy)
+            ok_t = hits.any(axis=1)
+            if ok_t.all():
+                return _certificate(params, work.swapped, xc, yc, j, ts, ox, oy, ratio, hits)
+            violations.append((j, float(ts[int(ok_t.argmin())])))
+        point = (yc, xc) if work.swapped else (xc, yc)
+        exhaustion.append(((float(point[0]), float(point[1])), tuple(violations)))
+    return ExhaustionReport(ladder=ladder, points=tuple(exhaustion), scanned=len(cells))
+
+
+def _plant_beam(bm, grid, ix, iy, ladder, j, cut):
+    """Add one witness per block-j scale for the pinned cell (ix, iy)."""
+    b, c = ladder.block(j)
+    ts = t_grid(c, b, grid.h, support_radius(cut.params))
+    xc, yc = (ix + 0.5) * grid.h, (iy + 0.5) * grid.h
+    jx, jy, inside = cells_of_points(grid, xc + ts * cut.nodes[3], yc + ts * cut.node_powers[3])
+    assert inside.all()
+    bm[jy, jx] = True
+    return xc, yc
+
+
+def _certifies_at(position, n=64, nodes=32):
+    """A set whose scan certifies block 2 at the given 1-based scan position.
+
+    The cells before it sit in the four rightmost columns, where every arc
+    sample leaves the window, so they fail every block.  The certifying cell
+    has planted block-2 witnesses; the next cell in scan order has planted
+    block-1 witnesses, so a scan that stopped at the first block some cell
+    of a batch passes would certify the wrong cell.
+    """
+    bm = np.zeros((n, n), dtype=bool)
+    q, r = divmod(position - 1, 4)
+    bm[:q, n - 4 :] = True
+    bm[q, n - 4 : n - 4 + r] = True
+    grid = GridSpec(n)
+    cut = build_cutoff(P24, nodes, 0.5)
+    ladder = default_ladder(2)
+    iy = q + 1
+    bm[iy, [1, 20]] = True
+    point = _plant_beam(bm, grid, 1, iy, ladder, 2, cut)
+    _plant_beam(bm, grid, 20, iy, ladder, 1, cut)
+    return RasterSet(grid, bm), point
+
+
+class TestBatchedScanMatchesReference:
+    """The batched integer-offset scan returns the reference result with ==."""
+
+    @pytest.mark.parametrize("theta", [1.04, 1.05, 1.06])
+    def test_dead_strips(self, theta):
+        params = CurveParams(2.0, 1.0, theta)
+        ladder = default_ladder(2)
+        for phase in (0, 3, 7, 11):
+            a = dead_strip_set(64, params, ladder, 1, phase_cells=phase)
+            sampling = SamplingConfig(nodes=64)
+            want = reference_prospect(a, ladder, params, sampling)
+            assert prospect(a, ladder, params, sampling) == want
+
+    @pytest.mark.parametrize(
+        "n,seed,params",
+        [(64, 1, CurveParams(2.0, 1.0, 2.4)), (128, 0, CurveParams(3.0, 1.0, 1.5))],
+    )
+    def test_tie_cases_on_non_dyadic_window(self, n, seed, params):
+        # samples within rounding distance of a cell edge, where the integer
+        # offset alone disagrees with the point lookup
+        a = generate_random(GridSpec(n, (0.125, -2.0), 0.75), 0.1, seed=seed)
+        ladder, sampling = default_ladder(1), SamplingConfig(nodes=64)
+        want = reference_prospect(a, ladder, params, sampling)
+        assert isinstance(want, ExhaustionReport)
+        assert prospect(a, ladder, params, sampling) == want
+
+    def test_swap_route(self):
+        # beta < 1: the scan runs on the swapped raster, points come back swapped
+        params = CurveParams(0.5, 1.0, 1.05**2)
+        work = params.swapped()
+        ladder = default_ladder(2)
+        a = axis_swap(dead_strip_set(64, work, ladder, 1, phase_cells=5))
+        sampling = SamplingConfig(nodes=64)
+        want = reference_prospect(a, ladder, params, sampling)
+        assert prospect(a, ladder, params, sampling) == want
+        sparse = generate_random(GridSpec(64), 0.02, 4)
+        p24 = CurveParams(0.5, 1.0, 2.4)
+        assert prospect(sparse, ladder, p24, sampling) == reference_prospect(
+            sparse, ladder, p24, sampling
+        )
+
+    @pytest.mark.parametrize("subsample", [1, 7, 40])
+    def test_subsample(self, subsample):
+        a = generate_random(GridSpec(64), 0.02, 6)
+        sampling = SamplingConfig(nodes=32, subsample=subsample, seed=3)
+        ladder = default_ladder(2)
+        assert prospect(a, ladder, P24, sampling) == reference_prospect(a, ladder, P24, sampling)
+
+    @pytest.mark.parametrize(
+        "position", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
+    )
+    def test_certificate_at_batch_edges(self, position):
+        # batches cover scan positions 1, 2-3, 4-7, 8-15, ...
+        a, point = _certifies_at(position)
+        ladder, sampling = default_ladder(2), SamplingConfig(nodes=32)
+        want = reference_prospect(a, ladder, P24, sampling)
+        assert isinstance(want, BeamCertificate) and (want.point, want.j) == (point, 2)
+        assert prospect(a, ladder, P24, sampling) == want
+
+
+EDGE_WINDOWS = [((0.0, 0.0), 1.0), ((0.125, -2.0), 0.75)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    window=st.sampled_from(EDGE_WINDOWS),
+    n=st.sampled_from([16, 32]),
+    ms=st.lists(st.integers(32, 76), min_size=4, max_size=16, unique=True),
+    density=st.sampled_from([0.02, 0.1, 0.3]),
+    seed=st.integers(0, 2**16),
+    last_column=st.integers(0, 2**16),
+)
+def test_edge_samples_follow_one_convention(window, n, ms, density, seed, last_column):
+    origin, side = window
+    # Nodes on multiples of side/32 put t u / h on half-integers at the dyadic
+    # scales t of default_ladder(2), so samples land exactly on interior cell
+    # edges and on the window's far edge.
+    nodes = np.array(sorted(ms), dtype=np.float64) * (side / 32)
+    cutoff = Cutoff(P24, nodes, np.full(nodes.size, 1.0 / nodes.size), 0.5)
+    grid = GridSpec(n, origin, side)
+    bm = generate_random(grid, density, seed).bitmap.copy()
+    bm[:, n - 1] |= (last_column >> (np.arange(n) % 16)) & 1 == 1  # far-edge samples read these
+    a = RasterSet(grid, bm)
+    ladder, sampling = default_ladder(2), SamplingConfig(nodes=nodes.size)
+    with mock.patch("pinbeam.prospect.build_cutoff", return_value=cutoff):
+        got = prospect(a, ladder, P24, sampling)
+        assert got == reference_prospect(a, ladder, P24, sampling)
+        if isinstance(got, BeamCertificate):
+            assert verify_certificate(a, got, 1, sampling).ok
+    if isinstance(got, ExhaustionReport):
+        for pt, violations in got.points:
+            for _, t in violations:
+                assert arc_hits_set(a, pt, t, cutoff).size == 0
 
 
 class TestAxisSwapRoute:
