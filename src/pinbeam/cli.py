@@ -18,8 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import constructions
+from .fields import field_cache
 from .harness import (
     HarnessConstants,
+    _block_scales,
     check_smallt_scaling,
     compute_decomposition,
     compute_j0,
@@ -212,6 +214,12 @@ def _cmd_harness(args: argparse.Namespace) -> int:
         )
     rhos = args.rhos or [constants.rho]
     ladder = default_ladder(max(blocks))
+    square_sums = len(blocks) >= 2 and blocks == list(range(blocks[0], blocks[-1] + 1))
+    if square_sums:
+        # The square sums run last; check their smoothing scales before any field.
+        for j in blocks:
+            _block_scales(grid, ladder, j, constants.rho)
+    hits, misses = field_cache.hits, field_cache.misses
 
     decs, grid_rows, smallt_reports = [], [], []
     for j in blocks:
@@ -233,7 +241,7 @@ def _cmd_harness(args: argparse.Namespace) -> int:
             })
 
     sq = None
-    if len(blocks) >= 2 and blocks == list(range(blocks[0], blocks[-1] + 1)):
+    if square_sums:
         sq = compute_sq_sums(raster, ladder, blocks[0] - 1, blocks[-1], constants)
 
     level = round(np.log2(grid.n)) - 1
@@ -242,6 +250,9 @@ def _cmd_harness(args: argparse.Namespace) -> int:
     detail = ScalarField(grid, noise.values - martingale_average(noise, level).values)
     gaps = list(range(0, min(6, level - 1) + 1))
     rows, alpha_fit = decay_sweep(detail, level, gaps, cfg.p, cutoff, cfg.t_per_octave)
+    computed = field_cache.misses - misses
+    requested = computed + field_cache.hits - hits
+    print(f"fields: computed {computed} of {requested} requested", file=sys.stderr)
 
     outdir = cfg.resolved_outdir()
     outdir.mkdir(parents=True, exist_ok=True)

@@ -195,11 +195,19 @@ def compute_decomposition(
     def sup_abs(q, base=None):
         return extremal_conv_field(q, grid, cutoff, interval, "absmax", base=base, ts=ts)
 
+    # The fields that repeat across calls come first, so that the field
+    # store still holds them (see pinbeam.fields): term 4 equals the
+    # small-scale deviation field of this rho, and lhs and the min field do
+    # not depend on rho.
+    t4 = sup_abs(p_hi.values, base=p_hi.values)
     lhs_field = extremal_conv_field(g.values, grid, cutoff, interval, "max", ts=ts)
+    if check_hypothesis:
+        inf_field = extremal_conv_field(
+            indicator(a).values, grid, cutoff, interval, "min", ts=ts
+        )
     t1 = sup_abs(g.values - eg.values)
     t2 = sup_abs(eg.values - p_lo.values)
     t3 = sup_abs(p_lo.values - p_hi.values)
-    t4 = sup_abs(p_hi.values, base=p_hi.values)
 
     lhs = pairing(a, ScalarField(grid, lhs_field))
     terms = [pairing(a, ScalarField(grid, tf)) for tf in (t1, t2, t3, t4)]
@@ -212,9 +220,6 @@ def compute_decomposition(
     hypothesis = None
     tb_ok = None
     if check_hypothesis:
-        inf_field = extremal_conv_field(
-            indicator(a).values, grid, cutoff, interval, "min", ts=ts
-        )
         hypothesis = bool((inf_field[a.bitmap] <= 0.0).all())
         tb_ok = (not hypothesis) or lhs >= bound - TAUBELOW_TOL
 

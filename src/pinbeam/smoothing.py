@@ -11,12 +11,12 @@ bit-exact, which makes E_k E_m = E_min an identity rather than a tolerance.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 from scipy import fft as sfft
 from scipy.signal import convolve as _direct_convolve
 
+from .cache import LRUCache
 from .raster import GridSpec, ScalarField
 
 __all__ = [
@@ -53,30 +53,14 @@ def poisson_kernel(grid: GridSpec, t: float) -> np.ndarray:
     r_tr = TRUNCATION_FACTOR * t
     rad = min(math.ceil(r_tr / h), grid.n - 1)
     d = np.arange(-rad, rad + 1) * h
-    xx, yy = np.meshgrid(d, d, indexing="ij")
-    ker = poisson_point(t, xx, yy)
-    ker[xx * xx + yy * yy > r_tr * r_tr] = 0.0
+    x, y = d[:, None], d[None, :]
+    ker = poisson_point(t, x, y)
+    ker[x * x + y * y > r_tr * r_tr] = 0.0
     ker /= ker.sum() * (h * h)
     return ker
 
 
-class _SpectrumCache:
-    def __init__(self, maxsize: int = 4):
-        self.maxsize = maxsize
-        self._store: OrderedDict = OrderedDict()
-
-    def get(self, key, build):
-        if key in self._store:
-            self._store.move_to_end(key)
-            return self._store[key]
-        val = build()
-        self._store[key] = val
-        while len(self._store) > self.maxsize:
-            self._store.popitem(last=False)
-        return val
-
-
-_kernel_spectra = _SpectrumCache()
+_kernel_spectra = LRUCache()
 
 
 def _fft_smooth(values: np.ndarray, grid: GridSpec, scales, kernels) -> list[np.ndarray]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pinbeam.fields as fields
 from pinbeam import GridSpec, RasterSet
 
 
@@ -21,3 +22,17 @@ def single_cell(n: int, ix: int, iy: int) -> RasterSet:
     bm = np.zeros((n, n), dtype=bool)
     bm[iy, ix] = True
     return RasterSet(GridSpec(n), bm)
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Count the engine runs behind extremal_conv_field calls."""
+    runs = []
+    run = fields._extremal_bands
+
+    def counted(*args):
+        runs.append(1)
+        run(*args)
+
+    monkeypatch.setattr(fields, "_extremal_bands", counted)
+    return runs

@@ -7,6 +7,9 @@ import pytest
 
 from pinbeam import CurveParams, GridSpec, SamplingConfig, default_ladder, generate_random, prospect
 from pinbeam.cli import EXIT_ERROR, EXIT_EXHAUSTION, EXIT_OK, EXIT_VERIFY_FAIL, main
+from pinbeam.fields import field_cache
+from pinbeam.harness import HarnessConstants, compute_sq_sums
+from pinbeam.prospect import ResolutionError
 from pinbeam.raster import load_raster, save_raster
 from pinbeam.reports import (
     RunConfig,
@@ -165,14 +168,19 @@ class TestVerifyCmd:
 
 
 class TestHarnessCmd:
-    def test_smoke_outputs(self, tmp_path):
+    def test_smoke_outputs(self, tmp_path, capsys, engine_runs):
         raster = tmp_path / "a.pb"
         save_raster(generate_random(GridSpec(128), 0.4, 3), raster)
         outdir = tmp_path / "out"
+        field_cache.clear()
         rc = main(["harness", "--input", str(raster), "--blocks", "2",
                    "--rhos", "0.25", "0.125", "--tau", "1.7", "--nodes", "32",
                    "--check-hypothesis", "--outdir", str(outdir)])
         assert rc == EXIT_OK
+        # 2 deviation fields, 2 x 6 decomposition fields (4 of them repeats)
+        # and 6 decay octaves
+        assert len(engine_runs) == 16
+        assert "fields: computed 16 of 20 requested\n" in capsys.readouterr().err
         payload = json.loads((outdir / "harness.json").read_text())
         assert len(payload["decompositions"]) == 2
         assert all(r["triangle_ok"] for r in payload["decompositions"])
@@ -185,6 +193,22 @@ class TestHarnessCmd:
         with open(outdir / "decay.csv") as fh:
             drows = list(csv.reader(fh))
         assert drows[0] == ["i_minus_n", "ratio", "p", "seed"]
+
+    def test_readme_line_fails_before_any_field(self, tmp_path, capsys, engine_runs):
+        # the README's harness line: the default rho for delta 0.4 is 2^-30,
+        # which the square sums over blocks 2..3 cannot resolve
+        raster = tmp_path / "a.pb"
+        save_raster(generate_random(GridSpec(128), 0.4, 3), raster)
+        outdir = tmp_path / "out"
+        rc = main(["harness", "--input", str(raster), "--blocks", "2", "3",
+                   "--rhos", "0.25", "0.125", "--tau", "1.7", "--outdir", str(outdir)])
+        assert rc == EXIT_ERROR
+        assert engine_runs == []
+        assert not outdir.exists()
+        constants = HarnessConstants.for_density(0.4, tau=1.7)
+        with pytest.raises(ResolutionError) as exc:
+            compute_sq_sums(load_raster(raster), default_ladder(3), 1, 3, constants)
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     def test_config_file_with_flag_override(self, tmp_path):
         raster = tmp_path / "a.pb"

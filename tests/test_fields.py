@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import pinbeam.fields as fields
 from pinbeam import CurveParams, GridSpec, build_cutoff, support_radius
 from pinbeam.fields import (
     _MODES,
@@ -14,11 +15,18 @@ from pinbeam.fields import (
     MODE_MIN,
     _extremal_bands,
     extremal_conv_field,
+    field_cache,
     shift_table,
 )
-from pinbeam.kernel import t_grid
+from pinbeam.kernel import Cutoff, t_grid
 
 P = CurveParams(2.0, 1.0, 2.4)
+
+
+@pytest.fixture(autouse=True)
+def empty_field_cache():
+    """Every test starts with no stored field, so each call runs the engine."""
+    field_cache.clear()
 
 
 def brute_extremum(q, grid, cutoff, ts, mode, base=None):
@@ -194,3 +202,77 @@ def test_constant_field_sup_is_one_in_interior():
     margin = math.ceil(0.02 * d / grid.h) + 1
     interior = out[: n - margin, : n - margin]
     assert np.abs(interior - 1.0).max() < 1e-12
+
+
+def test_hit_is_byte_equal_to_fresh_run(small_case, engine_runs):
+    grid, cutoff, q, interval, ts = small_case
+    base = np.full_like(q, 0.3)
+    first = extremal_conv_field(q, grid, cutoff, interval, "absmax", base=base)
+    hit = extremal_conv_field(q, grid, cutoff, interval, "absmax", base=base)
+    assert len(engine_runs) == 1
+    field_cache.clear()
+    fresh = extremal_conv_field(q, grid, cutoff, interval, "absmax", base=base)
+    assert len(engine_runs) == 2
+    assert hit.tobytes() == fresh.tobytes() == first.tobytes()
+
+
+def test_mutating_a_returned_field_leaves_later_hits_intact(small_case, engine_runs):
+    grid, cutoff, q, interval, ts = small_case
+    first = extremal_conv_field(q, grid, cutoff, interval, "max")
+    want = first.copy()
+    first[:] = 7.0
+    hit = extremal_conv_field(q, grid, cutoff, interval, "max")
+    hit[0, 0] = -1.0
+    again = extremal_conv_field(q, grid, cutoff, interval, "max")
+    assert len(engine_runs) == 1
+    assert again.tobytes() == want.tobytes()
+
+
+def _one_cell(q):
+    q = q.copy()
+    q[3, 5] += 0.5
+    return q
+
+
+def _one_weight(cutoff):
+    w = cutoff.weights.copy()
+    w[len(w) // 2] *= 1.0 + 2.0**-40
+    return Cutoff(cutoff.params, cutoff.nodes, w, cutoff.plateau_frac)
+
+
+def _one_scale(ts):
+    ts = ts.copy()
+    ts[-1] = np.nextafter(ts[-1], 0.0)
+    return ts
+
+
+VARIANTS = {
+    "one cell of q": lambda k: {**k, "q": _one_cell(k["q"])},
+    "base zeros instead of None": lambda k: {**k, "base": np.zeros_like(k["q"])},
+    "mode": lambda k: {**k, "mode": "min"},
+    "ts": lambda k: {**k, "ts": _one_scale(k["ts"])},
+    "a weight": lambda k: {**k, "cutoff": _one_weight(k["cutoff"])},
+    "grid origin": lambda k: {**k, "grid": GridSpec(16, (0.5, 0.0))},
+    "grid side": lambda k: {**k, "grid": GridSpec(16, side=2.0)},
+}
+
+
+@pytest.mark.parametrize("change", list(VARIANTS))
+def test_any_changed_input_misses(small_case, engine_runs, change):
+    grid, cutoff, q, interval, ts = small_case
+    kwargs = dict(q=q, grid=grid, cutoff=cutoff, interval=interval, mode="max",
+                  base=None, ts=ts)
+    extremal_conv_field(**kwargs)
+    extremal_conv_field(**kwargs)
+    assert len(engine_runs) == 1
+    extremal_conv_field(**VARIANTS[change](kwargs))
+    assert len(engine_runs) == 2
+
+
+def test_stored_shift_tables_are_read_only(small_case):
+    grid, cutoff, q, interval, ts = small_case
+    extremal_conv_field(q, grid, cutoff, interval, "max")
+    tables = list(fields._shift_tables._store.values())
+    assert tables
+    for table in tables:
+        assert not any(arr.flags.writeable for arr in table)

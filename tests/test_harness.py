@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,11 +22,13 @@ from pinbeam import (
     measure,
     pairing,
 )
+import pinbeam.harness as harness
 from pinbeam.constructions import dead_strip_set
-from pinbeam.fields import extremal_conv_field
+from pinbeam.fields import extremal_conv_field, field_cache
 from pinbeam.harness import decay_sweep
 from pinbeam.prospect import ResolutionError, default_ladder
 from pinbeam.raster import complement_in_window
+from pinbeam.reports import grid_csv, harness_to_dict
 
 from conftest import empty_square, full_square
 
@@ -147,6 +150,7 @@ class TestDecomposition:
         a = generate_random(GridSpec(64), 0.35, 17)
         const = HarnessConstants(tau=_tau_for_block(P24, 2), rho=0.25)
         r1 = compute_decomposition(a, 2, default_ladder(2), cut, const, check_hypothesis=True)
+        field_cache.clear()  # recompute every field rather than reuse r1's
         r2 = compute_decomposition(a, 2, default_ladder(2), cut, const, check_hypothesis=True)
         assert r1 == r2
 
@@ -164,6 +168,49 @@ class TestDecomposition:
         assert rep.taubelow_ok
         assert rep.lhs >= rep.integral_f - 4 * const.tau - 1e-9
         assert rep.lhs > 0.01  # genuinely positive pairing, not vacuous
+
+
+def _two_rho_flow(a, cut):
+    """The harness flow for one block: small-t check, then one decomposition per rho."""
+    j, ladder = 2, default_ladder(2)
+    smallt = check_smallt_scaling(a, j, ladder, [0.25, 0.5], cut)
+    decs, rows = [], []
+    for rho, s_val, s_ratio in smallt.rows:
+        const = HarnessConstants(tau=_tau_for_block(P24, j), rho=rho)
+        rep = compute_decomposition(a, j, ladder, cut, const, check_hypothesis=True)
+        decs.append(rep)
+        rows.append({
+            "j": j, "rho": rho, "lhs": rep.lhs,
+            "term1": rep.term1, "term2": rep.term2, "term3": rep.term3,
+            "term4": rep.term4, "tail": rep.tail,
+            "triangle_ok": rep.triangle_ok, "triangle_slack": rep.triangle_slack,
+            "smallt_s": s_val, "smallt_s_over_rho": s_ratio,
+        })
+    return json.dumps(harness_to_dict(decs, [smallt], None), indent=2), grid_csv(rows)
+
+
+class TestFieldReuse:
+    def test_two_rho_flow_computes_ten_fields_with_unchanged_outputs(
+        self, monkeypatch, engine_runs
+    ):
+        a = generate_random(GridSpec(64), 0.4, 21)
+        cut = build_cutoff(P24, 32, 0.5)
+        field_cache.clear()
+        reused = _two_rho_flow(a, cut)
+        # 14 requests: 2 deviation fields, 2 x 6 decomposition fields
+        assert len(engine_runs) == 10
+
+        field = harness.extremal_conv_field
+
+        def uncached(*args, **kwargs):
+            field_cache.clear()
+            return field(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "extremal_conv_field", uncached)
+        engine_runs.clear()
+        fresh = _two_rho_flow(a, cut)
+        assert len(engine_runs) == 14
+        assert reused == fresh
 
 
 class TestSmallT:

@@ -46,6 +46,25 @@ class TestPoissonKernel:
         with pytest.raises(ValueError):
             poisson_kernel(GridSpec(32), 0.0)
 
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("side", [1.0, 4.0])
+    def test_equals_meshgrid_kernel(self, n, side):
+        # the kernel as first built, from two full coordinate grids
+        def meshgrid_kernel(grid, t):
+            h = grid.h
+            r_tr = 50.0 * t
+            rad = min(math.ceil(r_tr / h), grid.n - 1)
+            d = np.arange(-rad, rad + 1) * h
+            xx, yy = np.meshgrid(d, d, indexing="ij")
+            ker = poisson_point(t, xx, yy)
+            ker[xx * xx + yy * yy > r_tr * r_tr] = 0.0
+            ker /= ker.sum() * (h * h)
+            return ker
+
+        g = GridSpec(n, side=side)
+        for t in (1e-3, 0.003, 0.05, 0.3, 3.0):
+            assert poisson_kernel(g, t).tobytes() == meshgrid_kernel(g, t).tobytes()
+
 
 class TestPoissonSmooth:
     def test_constant_field_preserved(self):
