@@ -16,14 +16,11 @@ from .harness import (
 from .kernel import (
     CurveParams,
     Cutoff,
-    ScaleParam,
     arc_hits_set,
     build_cutoff,
     curve_average,
-    inf_over_scales,
     param_from_scale,
     scale_from_param,
-    sup_over_scales,
     support_radius,
     validate_params,
 )

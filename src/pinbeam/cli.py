@@ -51,6 +51,7 @@ from .raster import (
 from .reports import (
     RunConfig,
     RunReport,
+    atomic_write_text,
     certificate_from_dict,
     certificate_to_dict,
     decay_csv,
@@ -261,8 +262,8 @@ def _cmd_harness(args: argparse.Namespace) -> int:
     payload["config"] = cfg.to_dict()
     payload["input_digest"] = sha256_file(args.input)
     write_json(outdir / "harness.json", payload)
-    (outdir / "grid.csv").write_text(grid_csv(grid_rows))
-    (outdir / "decay.csv").write_text(decay_csv(rows, cfg.p, cfg.seed))
+    atomic_write_text(outdir / "grid.csv", grid_csv(grid_rows))
+    atomic_write_text(outdir / "decay.csv", decay_csv(rows, cfg.p, cfg.seed))
     print(f"wrote {outdir}/harness.json, grid.csv ({len(grid_rows)} rows), decay.csv")
     return EXIT_OK
 

@@ -90,7 +90,7 @@ class HarnessConstants:
 
 def pairing(a: RasterSet, field: ScalarField) -> float:
     """Integral of the field against the set indicator: h^2 * sum over set cells."""
-    if not a.grid.compatible(field.grid):
+    if a.grid != field.grid:
         raise ValueError("raster and field grids are incompatible")
     h = a.grid.h
     return float(field.values[a.bitmap].sum()) * (h * h)

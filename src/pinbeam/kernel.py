@@ -15,20 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .raster import GridSpec, RasterSet, sample_values
+from .raster import RasterSet, sample_values
 
 __all__ = [
     "AdmissibilityVerdict",
     "CurveParams",
     "Cutoff",
-    "ScaleParam",
     "arc_hits_set",
     "build_cutoff",
     "curve_average",
-    "inf_over_scales",
     "param_from_scale",
     "scale_from_param",
-    "sup_over_scales",
     "support_radius",
     "t_grid",
     "validate_params",
@@ -101,18 +98,6 @@ def validate_params(p: CurveParams) -> AdmissibilityVerdict:
 def support_radius(p: CurveParams) -> float:
     """Farthest support point of the unit-scale arc from the pinned point."""
     return math.sqrt(p.theta**2 + p.theta ** (2 * p.beta))
-
-
-@dataclass(frozen=True)
-class ScaleParam:
-    """A dilation scale t and the curve coefficient a = t^(1-beta) it selects."""
-
-    t: float
-    a: float
-
-    @classmethod
-    def from_scale(cls, t: float, beta: float) -> "ScaleParam":
-        return cls(t, param_from_scale(t, beta))
 
 
 def _pow_dyadic_aware(x: float, e: float) -> float:
@@ -270,39 +255,3 @@ def t_grid(c: float, b: float, h: float, radius: float, min_per_octave: int = 16
     n_oct = math.ceil(min_per_octave * math.log2(b / c))
     n = max(n_disp, n_oct, 1) + 1
     return np.geomspace(c, b, n)
-
-
-def _averages_over_grid(f, ts: np.ndarray, pt, cutoff: Cutoff) -> np.ndarray:
-    x, y = float(pt[0]), float(pt[1])
-    xs = x + np.outer(ts, cutoff.nodes)
-    ys = y + np.outer(ts, cutoff.node_powers)
-    vals = sample_values(f, xs, ys)
-    return vals @ cutoff.weights
-
-
-def inf_over_scales(f, interval, pt, cutoff: Cutoff, min_per_octave: int = 16):
-    """Minimum of curve_average over the scale grid of [c, b].
-
-    Returns (value, argmin t); ties resolve to the smallest t.
-    """
-    c, b = interval
-    if c > b:
-        raise ValueError(f"need c <= b, got c={c}, b={b}")
-    ts = t_grid(c, b, f.grid.h, support_radius(cutoff.params), min_per_octave)
-    avgs = _averages_over_grid(f, ts, pt, cutoff)
-    k = int(np.argmin(avgs))
-    return float(avgs[k]), float(ts[k])
-
-
-def sup_over_scales(f, interval, pt, cutoff: Cutoff, min_per_octave: int = 16):
-    """Maximum of curve_average over the scale grid of [c, b].
-
-    Returns (value, argmax t); ties resolve to the smallest t.
-    """
-    c, b = interval
-    if c > b:
-        raise ValueError(f"need c <= b, got c={c}, b={b}")
-    ts = t_grid(c, b, f.grid.h, support_radius(cutoff.params), min_per_octave)
-    avgs = _averages_over_grid(f, ts, pt, cutoff)
-    k = int(np.argmax(avgs))
-    return float(avgs[k]), float(ts[k])

@@ -498,11 +498,13 @@ def verify_certificate(
         work_raster = a
         px, py = cert.point
 
-    for idx, s in enumerate(cert.samples):
-        hx, hy = s.hit
-        ix, iy, inside = cells_of_points(a.grid, np.array([hx]), np.array([hy]))
-        if not inside[0] or not a.bitmap[iy[0], ix[0]]:
-            failures.append(f"sample {idx}: claimed hit ({hx:.17g}, {hy:.17g}) is not in the set")
+    hxs = np.array([s.hit[0] for s in cert.samples], dtype=np.float64)
+    hys = np.array([s.hit[1] for s in cert.samples], dtype=np.float64)
+    ix, iy, in_set = cells_of_points(a.grid, hxs, hys)
+    in_set[in_set] = a.bitmap[iy[in_set], ix[in_set]]
+    for idx in np.flatnonzero(~in_set).tolist():
+        hx, hy = cert.samples[idx].hit
+        failures.append(f"sample {idx}: claimed hit ({hx:.17g}, {hy:.17g}) is not in the set")
 
     cutoff = build_cutoff(work_params, sampling.nodes, sampling.plateau_frac)
     c, b = cert.t_interval

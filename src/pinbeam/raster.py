@@ -66,13 +66,6 @@ class GridSpec:
         """Cell size."""
         return self.side / self.n
 
-    def compatible(self, other: "GridSpec") -> bool:
-        return self == other
-
-    def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
-        h = self.h
-        return (self.origin[0] + (ix + 0.5) * h, self.origin[1] + (iy + 0.5) * h)
-
 
 def _check_grid(grid: GridSpec, arr: np.ndarray, dtype) -> np.ndarray:
     arr = np.asarray(arr)

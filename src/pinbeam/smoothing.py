@@ -1,11 +1,12 @@
 """Poisson smoothing, dyadic martingale averages, and square functions.
 
 The Poisson kernel is sampled at cell-center displacements, truncated, and
-renormalized so its discrete mass is exactly 1; convolution goes through a
-direct path for small kernels and a transform path otherwise, with kernel
-spectra cached per (grid, scale).  Martingale averages are computed by a
-cascade of 2x2 block means so that coarsening a block-constant field is
-bit-exact, which makes E_k E_m = E_min an identity rather than a tolerance.
+renormalized so its discrete mass is exactly 1.  Convolution takes one
+path: a zero-padded real transform of the field, shared by every scale of a
+call, times the kernel spectra, which are cached per (grid, scale, transform
+length).  Martingale averages are computed by a cascade of 2x2 block means
+so that coarsening a block-constant field is bit-exact, which makes
+E_k E_m = E_min an identity rather than a tolerance.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.signal import convolve as _direct_convolve
 
 from .cache import LRUCache
 from .raster import GridSpec, ScalarField
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 TRUNCATION_FACTOR = 50.0
-DIRECT_COST_CAP = 2e8  # direct path only when taps <= 1e4 and taps * n^2 is small
 
 
 def poisson_point(t: float, x, y):
@@ -63,42 +62,21 @@ def poisson_kernel(grid: GridSpec, t: float) -> np.ndarray:
 _kernel_spectra = LRUCache()
 
 
-def _fft_smooth(values: np.ndarray, grid: GridSpec, scales, kernels) -> list[np.ndarray]:
-    n = grid.n
+def poisson_smooth_multi(field: ScalarField, scales) -> list[ScalarField]:
+    """Poisson-smooth one field at several scales, sharing the field transform."""
+    grid = field.grid
+    n, h = grid.n, grid.h
+    kernels = [poisson_kernel(grid, t) for t in scales]
     rads = [(k.shape[0] - 1) // 2 for k in kernels]
-    rad_max = max(rads)
-    size = sfft.next_fast_len(n + 2 * rad_max)
-    f_hat = sfft.rfft2(values, (size, size))
+    size = sfft.next_fast_len(n + 2 * max(rads))
+    f_hat = sfft.rfft2(field.values, (size, size))
     outs = []
     for t, ker, rad in zip(scales, kernels, rads):
         key = (grid.n, grid.origin, grid.side, float(t), size)
         k_hat = _kernel_spectra.get(key, lambda: sfft.rfft2(ker, (size, size)))
         conv = sfft.irfft2(f_hat * k_hat, (size, size))
-        outs.append(np.ascontiguousarray(conv[rad : rad + n, rad : rad + n]))
+        outs.append(ScalarField(grid, conv[rad : rad + n, rad : rad + n] * (h * h)))
     return outs
-
-
-def poisson_smooth_multi(field: ScalarField, scales) -> list[ScalarField]:
-    """Poisson-smooth one field at several scales, sharing the field transform."""
-    grid = field.grid
-    h = grid.h
-    kernels = [poisson_kernel(grid, t) for t in scales]
-    direct = [
-        k.size <= 1e4 and k.size * grid.n * grid.n <= DIRECT_COST_CAP for k in kernels
-    ]
-    outs: list[ScalarField | None] = [None] * len(kernels)
-    fft_idx = [i for i, d in enumerate(direct) if not d]
-    if fft_idx:
-        convs = _fft_smooth(
-            field.values, grid, [scales[i] for i in fft_idx], [kernels[i] for i in fft_idx]
-        )
-        for i, cv in zip(fft_idx, convs):
-            outs[i] = ScalarField(grid, cv * (h * h))
-    for i, d in enumerate(direct):
-        if d:
-            cv = _direct_convolve(field.values, kernels[i], mode="same", method="direct")
-            outs[i] = ScalarField(grid, cv * (h * h))
-    return outs  # type: ignore[return-value]
 
 
 def poisson_smooth(field: ScalarField, t: float) -> ScalarField:

@@ -72,6 +72,8 @@ class TestPairing:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pairing(full_square(32), ScalarField(GridSpec(64), np.zeros((64, 64))))
+        with pytest.raises(ValueError):
+            pairing(full_square(32), ScalarField(GridSpec(32, side=2.0), np.zeros((32, 32))))
 
 
 class TestComputeJ0:

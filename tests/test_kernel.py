@@ -17,10 +17,8 @@ from pinbeam import (
     curve_average,
     generate_random,
     indicator,
-    inf_over_scales,
     param_from_scale,
     scale_from_param,
-    sup_over_scales,
     support_radius,
     validate_params,
 )
@@ -250,29 +248,10 @@ class TestArcHits:
 
 
 class TestScaleExtrema:
-    def test_constant_one_inside(self):
-        cut = build_cutoff(P24, 64, 0.5)
-        ones = ScalarField(GridSpec(64), np.ones((64, 64)))
-        lo, _ = inf_over_scales(ones, (0.01, 0.02), (0.2, 0.2), cut)
-        hi, _ = sup_over_scales(ones, (0.01, 0.02), (0.2, 0.2), cut)
-        assert lo == pytest.approx(1.0, abs=1e-9)
-        assert hi == pytest.approx(1.0, abs=1e-9)
-
-    def test_zero_field(self):
-        cut = build_cutoff(P24, 64, 0.5)
-        zero = ScalarField(GridSpec(64), np.zeros((64, 64)))
-        assert inf_over_scales(zero, (0.01, 0.1), (0.3, 0.3), cut)[0] == 0.0
-        assert sup_over_scales(zero, (0.01, 0.1), (0.3, 0.3), cut)[0] == 0.0
-
-    def test_interval_validation(self):
-        cut = build_cutoff(P24, 64, 0.5)
-        ones = ScalarField(GridSpec(64), np.ones((64, 64)))
-        with pytest.raises(ValueError):
-            inf_over_scales(ones, (0.2, 0.1), (0.3, 0.3), cut)
-
     def test_carved_slab_inf_zero_with_finer_oracle(self):
         # delete all cells hit from a pinned cell center over a block; the
-        # infimum there is 0, confirmed by an exhaustive 4x finer scan
+        # infimum over the block's scale grid there is 0, confirmed by an
+        # exhaustive 4x finer scan
         n = 64
         grid = GridSpec(n)
         cut = build_cutoff(P24, 64, 0.5)
@@ -280,23 +259,17 @@ class TestScaleExtrema:
         region = np.zeros((n, n), dtype=bool)
         region[19, 19] = True
         a = carve_block_arcs(full_square(n), region, ladder, 2, cut)
-        pt = grid.cell_center(19, 19)
+        pt = (19.5 * grid.h, 19.5 * grid.h)
         c, b = ladder.block(2)[1], ladder.block(2)[0]
-        val, t_at = inf_over_scales(indicator(a), (c, b), pt, cut)
-        assert val == 0.0
-        # oracle: exhaustive scan at 4x finer ratio still finds the zero
         from pinbeam.kernel import t_grid
 
         ts = t_grid(c, b, grid.h, support_radius(P24))
+        avgs = [curve_average(indicator(a), float(t), pt, cut) for t in ts]
+        assert min(avgs) == 0.0
+        # oracle: exhaustive scan at 4x finer ratio still finds the zero
         fine = np.geomspace(c, b, (len(ts) - 1) * 4 + 1)
         avgs = [curve_average(indicator(a), float(t), pt, cut) for t in fine]
         assert min(avgs) == 0.0
-
-    def test_argmin_tie_break_smallest_t(self):
-        cut = build_cutoff(P24, 64, 0.5)
-        zero = ScalarField(GridSpec(64), np.zeros((64, 64)))
-        _, t_at = inf_over_scales(zero, (0.0625, 0.125), (0.3, 0.3), cut)
-        assert t_at == 0.0625
 
 
 class TestAxisSwapCurves:

@@ -182,15 +182,32 @@ class TestProspect:
     def test_tampered_certificate_rejected_with_offender(self):
         a = full_square(64)
         cert = prospect(a, default_ladder(1), P24, SamplingConfig(nodes=64))
+        # cell (63, 0) lies below every arc from the pinned point (0.5 h, 0.5 h)
+        bitmap = a.bitmap.copy()
+        bitmap[0, 63] = False
+        holed = RasterSet(a.grid, bitmap)
+        assert verify_certificate(holed, cert, 1, SamplingConfig(nodes=64)).ok
         bad_samples = list(cert.samples)
-        s0 = bad_samples[3]
+        s0, s1 = bad_samples[3], bad_samples[5]
         bad_samples[3] = type(s0)(s0.t, s0.a, s0.u, (1.5, 1.5))  # off the window
+        bad_samples[5] = type(s1)(s1.t, s1.a, s1.u, (63.5 / 64, 0.5 / 64))  # unset cell
         import dataclasses
 
         tampered = dataclasses.replace(cert, samples=tuple(bad_samples))
-        res = verify_certificate(a, tampered, 1, SamplingConfig(nodes=64))
+        res = verify_certificate(holed, tampered, 1, SamplingConfig(nodes=64))
         assert not res.ok
-        assert any("sample 3" in f for f in res.failures)
+        assert res.failures == (
+            "sample 3: claimed hit (1.5, 1.5) is not in the set",
+            "sample 5: claimed hit (0.9921875, 0.0078125) is not in the set",
+        )
+        # a non-finite hit is reported, not looked up
+        bad_samples[5] = type(s1)(s1.t, s1.a, s1.u, (math.nan, 0.5))
+        tampered = dataclasses.replace(cert, samples=tuple(bad_samples))
+        with np.errstate(invalid="ignore"):
+            res = verify_certificate(holed, tampered, 1, SamplingConfig(nodes=64))
+        assert res.failures[1] == "sample 5: claimed hit (nan, 0.5) is not in the set"
+        no_samples = dataclasses.replace(cert, samples=())
+        assert verify_certificate(holed, no_samples, 1, SamplingConfig(nodes=64)).ok
 
     def test_interval_mismatch_rejected(self):
         a = full_square(64)

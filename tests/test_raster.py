@@ -35,9 +35,9 @@ class TestGridSpec:
         assert GridSpec(4, side=2.0).h == 0.5
 
     def test_compatibility_is_field_equality(self):
-        assert GridSpec(8).compatible(GridSpec(8))
-        assert not GridSpec(8).compatible(GridSpec(16))
-        assert not GridSpec(8).compatible(GridSpec(8, side=2.0))
+        assert GridSpec(8) == GridSpec(8)
+        assert GridSpec(8) != GridSpec(16)
+        assert GridSpec(8) != GridSpec(8, side=2.0)
 
 
 class TestMeasure:

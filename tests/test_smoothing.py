@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,19 +83,17 @@ class TestPoissonSmooth:
         assert np.abs(interior - 2.5).max() < 1e-9
 
     def test_direct_and_fft_paths_agree(self):
-        n = 64
-        g = GridSpec(n)
-        h = rand_field(n, 3)
-        t = 0.01  # 129 taps < 1e4: direct dispatch
-        k = poisson_kernel(g, t)
-        assert k.size <= 1e4
-        out = poisson_smooth(h, t)
-        via_fft = np.fft.irfft2(
-            np.fft.rfft2(h.values, (192, 192)) * np.fft.rfft2(k, (192, 192)), (192, 192)
-        )
-        rad = (k.shape[0] - 1) // 2
-        via_fft = via_fft[rad : rad + n, rad : rad + n] * g.h**2
-        assert np.abs(out.values - via_fft).max() < 1e-9
+        # the transform path against direct convolution with the same kernel:
+        # sub-cell to block scales, and kernels spanning the whole window
+        for n, t, seed in ((64, 0.01, 3), (64, 0.002, 4), (256, 1.0 / 512, 5),
+                           (16, 0.5, 6), (32, 0.5, 7)):
+            g = GridSpec(n)
+            h = rand_field(n, seed)
+            k = poisson_kernel(g, t)
+            if n <= 32:
+                assert k.shape == (2 * n - 1, 2 * n - 1)
+            ref = direct_convolve(h.values, k, mode="same", method="direct") * g.h**2
+            assert np.abs(poisson_smooth(h, t).values - ref).max() <= 1e-12
 
     def test_integral_preserved_for_interior_support(self):
         # field supported well inside; truncated kernel keeps every
@@ -122,6 +124,18 @@ class TestPoissonSmooth:
         a, b = poisson_smooth_multi(h, [0.05, 0.2])
         assert np.abs(a.values - poisson_smooth(h, 0.05).values).max() < 1e-12
         assert np.abs(b.values - poisson_smooth(h, 0.2).values).max() < 1e-12
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # every command pays the package import; scipy.signal alone costs more
+    # than the rest of it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, pinbeam; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestMartingale:
