@@ -7,34 +7,41 @@ node shifts are grouped (summing weights of nodes that share a cell shift),
 and the engine accumulates one weighted shifted copy per group, then folds
 the scale's average into a running per-cell extremum.
 
-The engine is numpy only.  Each call copies q once into a zero-padded
-buffer whose rows are widened by the largest column shifts either way.
-Viewed flat, the shifted copy that one group adds over a run of output rows
-is then a single contiguous slice of that buffer, so every array operation
-works on contiguous memory: a cell whose shifted sample falls outside q
-reads a padded zero and adds +0.0, which leaves the sum unchanged, and the
-accumulator columns past the window are computed and discarded.  Output
-rows whose shifted row lies outside q receive no term from that group, and
-groups shifted by a whole window or more are dropped.  Products, sums and
-the running extremum go into buffers that each band allocates once per call.
+The engine adds each group with one BLAS daxpy.  Each call copies q once
+into a zero-padded buffer whose rows are widened by the largest column
+shifts either way.  Viewed flat, the shifted copy that one group adds over
+a run of output rows is then a single contiguous slice of that buffer, so
+daxpy updates the accumulator in place from contiguous memory: a cell whose
+shifted sample falls outside q reads a padded zero and adds +0.0, which
+leaves the sum unchanged, and the accumulator columns past the window are
+computed and discarded.  Output rows whose shifted row lies outside q
+receive no term from that group, and groups shifted by a whole window or
+more are dropped.  One pass over all rows runs the scale loop; OpenBLAS
+threads inside each daxpy (daxpy holds the interpreter lock, so Python
+threads would gain nothing).  Terms are added in sorted group order, and
+each element of a daxpy is computed on its own, so how OpenBLAS splits the
+vector among its threads changes no bit.
 
-The output rows are split into contiguous bands, one per usable CPU (at
-most one per 64 rows), and each band runs the whole scale loop on its own
-thread with its own buffers; numpy releases the interpreter lock inside
-each array operation.  Every output cell belongs to exactly one band, and
-within a band its terms are added in the same sorted group order as in a
-single pass, so results are bit-identical whatever the band count.
+Rounding: on x86-64 CPUs with fused multiply-add (Haswell and later)
+OpenBLAS's daxpy kernels compute acc + w*q with one rounding per group term,
+where two numpy passes (multiply, then add) round twice.  On 0/1 inputs
+(indicators, lhs, the min field) w*q is exact, so the field is bit-identical
+to the two-pass sum.  On smoothed inputs a cell may differ from the two-pass
+sum by about one unit in the last place (at most 4.4e-16 absolute in the
+harness's quantities on N=256 decompose runs).  A CPU whose kernel has no
+fused multiply-add rounds as the two-pass sum does, so output bits are
+reproducible per machine, not across machines.
 
 Results are reused by value.  A computed field is kept in a least-recently-
 used store of FIELD_CACHE_SIZE entries, keyed by the mode, the grid, the
 cutoff's curve parameters and one 128-bit blake2b digest over the shape,
 dtype and bytes of q, of base (None is hashed apart from an array of
 zeros), of the cutoff's nodes and weights, and of the scale grid ts.  Those
-are all the engine reads, and the engine is deterministic (the band count
-does not change a bit), so a stored field is the field a fresh run would
-return; a hit returns a copy, so callers may mutate what they get.  The
-shift table, which depends only on the grid, the cutoff and ts, is likewise
-built once per (grid, cutoff, ts) and stored with read-only arrays.
+are all the engine reads, and the engine is deterministic on a given
+machine, so a stored field is the field a fresh run would return; a hit
+returns a copy, so callers may mutate what they get.  The shift table,
+which depends only on the grid, the cutoff and ts, is likewise built once
+per (grid, cutoff, ts) and stored with read-only arrays.
 
 The size 7 covers the harness flow of one block at two values of rho: the
 small-scale check computes the deviation field D(rho) for both values, then
@@ -48,8 +55,6 @@ D(rho2) is seven fields (3.5 MB at N=256), so all four repeats are hits.
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -64,10 +69,6 @@ MODE_ABSMAX = 1
 MODE_MIN = 2
 
 _MODES = {"max": MODE_MAX, "absmax": MODE_ABSMAX, "min": MODE_MIN}
-
-# Fewest output rows per band: on thinner bands each array operation is too
-# short for a second thread to gain anything.
-_MIN_BAND_ROWS = 64
 
 # Fields kept for reuse; the module docstring says where 7 comes from.
 FIELD_CACHE_SIZE = 7
@@ -100,59 +101,18 @@ def shift_table(cutoff: Cutoff, grid: GridSpec, ts: np.ndarray):
     return np.ascontiguousarray(uniq[:, 1]), np.ascontiguousarray(uniq[:, 2]), w, tptr
 
 
-def _row_bands(n: int) -> list[tuple[int, int]]:
-    """Contiguous [r0, r1) row bands, one per usable CPU and at most n // 64."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    k = max(1, min(cpus, n // _MIN_BAND_ROWS))
-    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
+def _extremal(q, dx, dy, w, tptr, base, mode, out):
+    """Fill out with the per-cell extremum over scales.
 
-
-def _extremal_rows(qf, width, dx, dy, w, tptr, base, mode, out, r0, r1):
-    """Rows r0:r1 of the extremum.
-
-    Group g adds w[g] * qf[(r + dy[g]) * width + dx[g] + c] to cell (r, c).
+    Group g adds w[g] * q[r + dy[g], c + dx[g]] to cell (r, c).  `base` may
+    be None (subtracting zero changes no value).  Groups whose shift is at
+    least the window size in either direction are skipped.
     """
-    n = out.shape[1]
-    size = (r1 - r0) * width
-    acc = np.empty(size)
-    tmp = np.empty(size)
-    ext = np.empty(size)
-    if base is not None:
-        b = np.zeros((r1 - r0, width))
-        b[:, :n] = base[r0:r1]
-        b = b.ravel()
-    for k in range(len(tptr) - 1):
-        acc.fill(0.0)
-        for g in range(tptr[k], tptr[k + 1]):
-            sy = dy[g]
-            a0, a1 = max(r0, -sy), min(r1, n - sy)
-            if a0 >= a1:
-                continue
-            m = (a1 - a0) * width
-            s = (a0 + sy) * width + dx[g]
-            t = tmp[:m]
-            np.multiply(qf[s : s + m], w[g], out=t)
-            o = (a0 - r0) * width
-            acc[o : o + m] += t
-        if base is not None:
-            np.subtract(acc, b, out=acc)
-        if mode == MODE_ABSMAX:
-            np.abs(acc, out=acc)
-        if k == 0:
-            ext[:] = acc
-        elif mode == MODE_MIN:
-            np.minimum(ext, acc, out=ext)
-        else:
-            np.maximum(ext, acc, out=ext)
-    out[r0:r1] = ext.reshape(r1 - r0, width)[:, :n]
+    # Loaded on the first run, not at import: scipy.linalg would add about
+    # 6 MB of memory and 0.1 s of start-up (x86-64, scipy 1.17) to every
+    # command, including those that compute no field.
+    from scipy.linalg.blas import daxpy
 
-
-def _extremal_bands(q, dx, dy, w, tptr, base, mode, out, bands):
-    """Fill out with the per-cell extremum over scales, one thread per row band.
-
-    `base` may be None (subtracting zero changes no value).  Groups whose
-    shift is at least the window size in either direction are skipped.
-    """
     n = q.shape[0]
     keep = (np.abs(dx) < n) & (np.abs(dy) < n)
     tptr = np.concatenate([[0], np.cumsum(keep)])[tptr].tolist()
@@ -163,13 +123,30 @@ def _extremal_bands(q, dx, dy, w, tptr, base, mode, out, bands):
     # one zero row so that a window starting in the last row stays inside.
     qf = np.zeros((n + 1, width))
     qf[:n, lo : lo + n] = q
-    args = (qf.ravel(), width, (dx + lo).tolist(), dy.tolist(), w.tolist(), tptr, base, mode, out)
-    if len(bands) == 1:
-        _extremal_rows(*args, *bands[0])
-        return
-    with ThreadPoolExecutor(max_workers=len(bands)) as ex:
-        for f in [ex.submit(_extremal_rows, *args, r0, r1) for r0, r1 in bands]:
-            f.result()
+    qf = qf.ravel()
+    acc = np.empty(n * width)
+    ext = np.empty(n * width)
+    if base is not None:
+        b = np.zeros((n, width))
+        b[:, :n] = base
+        b = b.ravel()
+    groups = list(zip((dx + lo).tolist(), dy.tolist(), w.tolist()))
+    for k in range(len(tptr) - 1):
+        acc.fill(0.0)
+        for sx, sy, wg in groups[tptr[k] : tptr[k + 1]]:
+            r0 = max(0, -sy)
+            daxpy(qf, acc, n=(n - abs(sy)) * width, a=wg, offx=(r0 + sy) * width + sx, offy=r0 * width)
+        if base is not None:
+            np.subtract(acc, b, out=acc)
+        if mode == MODE_ABSMAX:
+            np.abs(acc, out=acc)
+        if k == 0:
+            ext[:] = acc
+        elif mode == MODE_MIN:
+            np.minimum(ext, acc, out=ext)
+        else:
+            np.maximum(ext, acc, out=ext)
+    out[:] = ext.reshape(n, width)[:, :n]
 
 
 def _feed(hsh, arr: np.ndarray | None) -> None:
@@ -226,7 +203,7 @@ def extremal_conv_field(
             table_key, lambda: _read_only_table(cutoff, grid, ts)
         )
         out = np.empty_like(q)
-        _extremal_bands(q, dx, dy, w, tptr, base, mode_id, out, _row_bands(q.shape[0]))
+        _extremal(q, dx, dy, w, tptr, base, mode_id, out)
         out.setflags(write=False)
         return out
 

@@ -145,8 +145,9 @@ def cells_of_points(grid: GridSpec, xs: np.ndarray, ys: np.ndarray):
     s = grid.side
     h = grid.h
     inside = (xs >= x0) & (xs <= x0 + s) & (ys >= y0) & (ys <= y0 + s)
-    ix = np.clip(np.floor((xs - x0) / h), 0, grid.n - 1).astype(np.int64)
-    iy = np.clip(np.floor((ys - y0) / h), 0, grid.n - 1).astype(np.int64)
+    # NaN would survive the clip and warn in the cast; infinities clip
+    ix = np.clip(np.nan_to_num(np.floor((xs - x0) / h)), 0, grid.n - 1).astype(np.int64)
+    iy = np.clip(np.nan_to_num(np.floor((ys - y0) / h)), 0, grid.n - 1).astype(np.int64)
     return ix, iy, inside
 
 

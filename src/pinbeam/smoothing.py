@@ -38,6 +38,13 @@ def poisson_point(t: float, x, y):
     return t / (2.0 * math.pi * (t * t + np.asarray(x) ** 2 + np.asarray(y) ** 2) ** 1.5)
 
 
+def _kernel_radius(grid: GridSpec, t: float) -> int:
+    """Half-width in cells of the scale-t kernel: 50 t, capped at n - 1."""
+    if not t > 0:
+        raise ValueError(f"Poisson scale must be positive, got {t}")
+    return min(math.ceil(TRUNCATION_FACTOR * t / grid.h), grid.n - 1)
+
+
 def poisson_kernel(grid: GridSpec, t: float) -> np.ndarray:
     """Truncated, renormalized Poisson kernel sampled at cell displacements.
 
@@ -46,11 +53,9 @@ def poisson_kernel(grid: GridSpec, t: float) -> np.ndarray:
     cannot occur between window cells) and rescaled so the discrete mass
     h^2 * sum equals 1.
     """
-    if not t > 0:
-        raise ValueError(f"Poisson scale must be positive, got {t}")
     h = grid.h
     r_tr = TRUNCATION_FACTOR * t
-    rad = min(math.ceil(r_tr / h), grid.n - 1)
+    rad = _kernel_radius(grid, t)
     d = np.arange(-rad, rad + 1) * h
     x, y = d[:, None], d[None, :]
     ker = poisson_point(t, x, y)
@@ -66,15 +71,14 @@ def poisson_smooth_multi(field: ScalarField, scales) -> list[ScalarField]:
     """Poisson-smooth one field at several scales, sharing the field transform."""
     grid = field.grid
     n, h = grid.n, grid.h
-    kernels = [poisson_kernel(grid, t) for t in scales]
-    rads = [(k.shape[0] - 1) // 2 for k in kernels]
+    rads = [_kernel_radius(grid, t) for t in scales]
     size = sfft.next_fast_len(n + 2 * max(rads))
     f_hat = sfft.rfft2(field.values, (size, size))
     outs = []
-    for t, ker, rad in zip(scales, kernels, rads):
+    for t, rad in zip(scales, rads):
         key = (grid.n, grid.origin, grid.side, float(t), size)
-        k_hat = _kernel_spectra.get(key, lambda: sfft.rfft2(ker, (size, size)))
-        conv = sfft.irfft2(f_hat * k_hat, (size, size))
+        k_hat = _kernel_spectra.get(key, lambda: sfft.rfft2(poisson_kernel(grid, t), (size, size)))
+        conv = sfft.irfft2(f_hat * k_hat, (size, size), overwrite_x=True)
         outs.append(ScalarField(grid, conv[rad : rad + n, rad : rad + n] * (h * h)))
     return outs
 

@@ -28,11 +28,11 @@ def single_cell(n: int, ix: int, iy: int) -> RasterSet:
 def engine_runs(monkeypatch):
     """Count the engine runs behind extremal_conv_field calls."""
     runs = []
-    run = fields._extremal_bands
+    run = fields._extremal
 
     def counted(*args):
         runs.append(1)
         run(*args)
 
-    monkeypatch.setattr(fields, "_extremal_bands", counted)
+    monkeypatch.setattr(fields, "_extremal", counted)
     return runs

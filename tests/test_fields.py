@@ -1,7 +1,10 @@
 """Field-engine correctness against an independent per-cell reimplementation."""
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from pinbeam.fields import (
     MODE_ABSMAX,
     MODE_MAX,
     MODE_MIN,
-    _extremal_bands,
+    _extremal,
     extremal_conv_field,
     field_cache,
     shift_table,
@@ -136,40 +139,95 @@ def hand_table(n):
     return dx, dy, w, tptr
 
 
+def fma_bound(q, dx, dy, w, tptr, base):
+    """Largest per-cell |engine - reference| when w * q is inexact.
+
+    The reference rounds each group term twice (product, then sum), the
+    engine's fused multiply-add once.  For a scale with G groups let M be
+    the cell's sum of |w_g q_g| plus |base|.  Each side then lies within
+    gamma_(G+2) * M of the exact value (G products or fused terms, G sums
+    and the subtraction of base; gamma_k = k u / (1 - k u), u = 2^-53),
+    and abs, max and min add no error.  The two sides thus differ by at
+    most 2 gamma_(G+2) M, which (G + 3) * eps * M covers (eps = 2u; the
+    extra eps * M absorbs the 1 / (1 - k u) factor and the rounding in
+    computing M).  G is the largest group count of any scale, M the largest
+    over scales.
+    """
+    m = np.empty_like(q)
+    reference_extremal(np.abs(q), dx, dy, np.abs(w), tptr, -np.abs(base), MODE_MAX, m)
+    return (int(np.diff(tptr).max()) + 3) * np.finfo(np.float64).eps * m
+
+
+def assert_matches_reference(got, want, q, dx, dy, w, tptr, base):
+    """Bit-identical on 0/1 q (w * q is exact), else within fma_bound with
+    zeros of the same sign."""
+    if np.isin(q, (0.0, 1.0)).all():
+        assert got.tobytes() == want.tobytes()
+        return
+    assert (np.abs(got - want) <= fma_bound(q, dx, dy, w, tptr, base)).all()
+    zero = want == 0.0
+    assert (np.signbit(got[zero]) == np.signbit(want[zero])).all()
+
+
 @pytest.mark.parametrize(
     "mode, with_base", [(MODE_MAX, False), (MODE_ABSMAX, True), (MODE_MIN, False), (MODE_MIN, True)]
 )
-@pytest.mark.parametrize(
-    "bands", [[(0, 13)], [(0, 7), (7, 13)], [(0, 1), (1, 3), (3, 4), (4, 9), (9, 12), (12, 13)]]
-)
-def test_bands_match_reference_bitwise(mode, with_base, bands):
+@pytest.mark.parametrize("indicator", [True, False], ids=["q01", "qrandom"])
+def test_single_pass_matches_reference(mode, with_base, indicator):
     n = 13
     rng = np.random.default_rng(5)
-    q = rng.random((n, n)) - 0.25
+    q = rng.random((n, n))
+    q = (q < 0.5).astype(np.float64) if indicator else q - 0.25
     q[2, :4] = -0.0  # products of -0.0 must not leave a signed zero in the sum
     base = rng.random((n, n)) if with_base else None
     dx, dy, w, tptr = hand_table(n)
+    zeros_or_base = np.zeros((n, n)) if base is None else base
     want = np.empty((n, n))
-    reference_extremal(q, dx, dy, w, tptr, np.zeros((n, n)) if base is None else base, mode, want)
+    reference_extremal(q, dx, dy, w, tptr, zeros_or_base, mode, want)
     got = np.empty((n, n))
-    # switch threads as often as possible, so that bands interleave
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _extremal_bands(q, dx, dy, w, tptr, base, mode, got, bands)
-    finally:
-        sys.setswitchinterval(interval)
-    assert got.tobytes() == want.tobytes()
+    _extremal(q, dx, dy, w, tptr, base, mode, got)
+    assert_matches_reference(got, want, q, dx, dy, w, tptr, zeros_or_base)
 
 
 @pytest.mark.parametrize("mode", ["max", "absmax", "min"])
 def test_engine_matches_reference_bitwise(small_case, mode):
-    grid, cutoff, q, interval, ts = small_case
-    base = np.full_like(q, 0.3) if mode == "absmax" else np.zeros_like(q)
-    want = np.empty_like(q)
-    reference_extremal(q, *reference_shift_table(cutoff, grid, ts), base, _MODES[mode], want)
-    got = extremal_conv_field(q, grid, cutoff, interval, mode, base=base)
-    assert got.tobytes() == want.tobytes()
+    grid, cutoff, q_random, interval, ts = small_case
+    base = np.full_like(q_random, 0.3) if mode == "absmax" else np.zeros_like(q_random)
+    table = reference_shift_table(cutoff, grid, ts)
+    for q in ((q_random < 0.5).astype(np.float64), q_random):
+        want = np.empty_like(q)
+        reference_extremal(q, *table, base, _MODES[mode], want)
+        got = extremal_conv_field(q, grid, cutoff, interval, mode, base=base)
+        assert_matches_reference(got, want, q, *table, base)
+
+
+def test_field_bits_do_not_depend_on_blas_thread_count():
+    # a smoothed q and base make every product inexact; at N=128 most daxpy
+    # calls are long enough for OpenBLAS to split them between threads
+    code = """
+import hashlib
+import numpy as np
+from pinbeam import CurveParams, GridSpec, ScalarField, build_cutoff
+from pinbeam.fields import extremal_conv_field
+from pinbeam.smoothing import poisson_smooth_multi
+
+grid = GridSpec(128)
+ind = ScalarField(grid, (np.random.default_rng(4).random((128, 128)) < 0.5).astype(float))
+q, base = (f.values for f in poisson_smooth_multi(ind, [1 / 64, 1 / 16]))
+cutoff = build_cutoff(CurveParams(2.0, 1.0, 2.4), 64, 0.5)
+out = extremal_conv_field(q, grid, cutoff, (2.0**-5, 2.0**-4), "absmax", base=base)
+print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.strip()
+        for threads in ("1", "2")
+    ]
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("n, nodes, interval", [(16, 16, (0.0625, 0.125)), (256, 64, (2.0**-6, 2.0**-5))])

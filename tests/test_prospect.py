@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -203,7 +204,8 @@ class TestProspect:
         # a non-finite hit is reported, not looked up
         bad_samples[5] = type(s1)(s1.t, s1.a, s1.u, (math.nan, 0.5))
         tampered = dataclasses.replace(cert, samples=tuple(bad_samples))
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = verify_certificate(holed, tampered, 1, SamplingConfig(nodes=64))
         assert res.failures[1] == "sample 5: claimed hit (nan, 0.5) is not in the set"
         no_samples = dataclasses.replace(cert, samples=())

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 from scipy.signal import convolve as direct_convolve
 
 from pinbeam import (
@@ -24,6 +25,7 @@ from pinbeam import (
     square_function_s1,
     square_function_s2,
 )
+import pinbeam.smoothing as smoothing
 from pinbeam.smoothing import poisson_point
 
 from conftest import full_square
@@ -119,6 +121,51 @@ class TestPoissonSmooth:
             devs[n] = float(np.abs(two.values - one.values).max())
         assert devs[256] >= 1.5 * devs[512]
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_multi_equals_kernel_first_version(self, n):
+        # the function as it was when it built every kernel before looking
+        # up the spectrum cache, and inverted into a fresh array
+        def kernel_first_multi(field, scales):
+            grid = field.grid
+            kernels = [poisson_kernel(grid, t) for t in scales]
+            rads = [(k.shape[0] - 1) // 2 for k in kernels]
+            size = sfft.next_fast_len(n + 2 * max(rads))
+            f_hat = sfft.rfft2(field.values, (size, size))
+            outs = []
+            for ker, rad in zip(kernels, rads):
+                # named, as the cache holds it: numpy would multiply an unnamed
+                # temporary in place with the operands swapped, which rounds
+                # differently
+                k_hat = sfft.rfft2(ker, (size, size))
+                conv = sfft.irfft2(f_hat * k_hat, (size, size))
+                outs.append(conv[rad : rad + n, rad : rad + n] * (grid.h * grid.h))
+            return outs
+
+        h = rand_field(n, 11)
+        for scales in ([0.5], [1 / 64, 1 / 4, 1 / 16], [0.003, 2.0]):
+            want = [v.tobytes() for v in kernel_first_multi(h, scales)]
+            smoothing._kernel_spectra.clear()
+            for _ in range(2):  # the first call fills the spectrum cache, the second reads it
+                assert [f.values.tobytes() for f in poisson_smooth_multi(h, scales)] == want
+
+    def test_cached_call_builds_no_kernel(self, monkeypatch):
+        h = rand_field(64, 12)
+        scales = [1 / 64, 1 / 8]
+        poisson_smooth_multi(h, scales)
+        built = []
+        kernel = smoothing.poisson_kernel
+
+        def counted(grid, t):
+            built.append(t)
+            return kernel(grid, t)
+
+        monkeypatch.setattr(smoothing, "poisson_kernel", counted)
+        poisson_smooth_multi(h, scales)
+        assert built == []
+        smoothing._kernel_spectra.clear()
+        poisson_smooth_multi(h, scales)
+        assert built == scales
+
     def test_multi_matches_single(self):
         h = rand_field(64, 9)
         a, b = poisson_smooth_multi(h, [0.05, 0.2])
@@ -126,16 +173,27 @@ class TestPoissonSmooth:
         assert np.abs(b.values - poisson_smooth(h, 0.2).values).max() < 1e-12
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # every command pays the package import; scipy.signal alone costs more
-    # than the rest of it
+def loaded_by_import(module: str) -> bool:
+    """Whether a fresh `import pinbeam` loads `module`."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, pinbeam; print('scipy.signal' in sys.modules)"
+    code = f"import sys, pinbeam; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # every command pays the package import; scipy.signal alone costs more
+    # than the rest of it
+    assert not loaded_by_import("scipy.signal")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # the field engine loads its BLAS on first use, so commands that compute
+    # no field do not pay scipy.linalg's memory and start-up time
+    assert not loaded_by_import("scipy.linalg")
 
 
 class TestMartingale:
