@@ -189,6 +189,56 @@ def test_single_pass_matches_reference(mode, with_base, indicator):
     assert_matches_reference(got, want, q, dx, dy, w, tptr, zeros_or_base)
 
 
+@pytest.mark.parametrize(
+    "mode, with_base", [(MODE_MAX, False), (MODE_ABSMAX, True), (MODE_MIN, False), (MODE_MIN, True)]
+)
+@pytest.mark.parametrize(
+    "bands", [[(0, 13)], [(0, 7), (7, 13)], [(0, 1), (1, 3), (3, 4), (4, 9), (9, 12), (12, 13)]]
+)
+def test_bands_match_reference_bitwise(monkeypatch, mode, with_base, bands):
+    """Splitting every daxpy at row-band boundaries changes no bit.
+
+    OpenBLAS threads split each daxpy's vector into chunks, and its kernels
+    treat a chunk's body and tail apart.  Here each call is cut into one
+    call per band of output rows (single rows included), so the cuts fall at
+    fixed places; the field must equal the single-pass field byte for byte
+    and match the reference as assert_matches_reference states.
+    """
+    import scipy.linalg.blas
+
+    n = 13
+    rng = np.random.default_rng(5)
+    q_random = rng.random((n, n)) - 0.25
+    q_random[2, :4] = -0.0  # products of -0.0 must not leave a signed zero in the sum
+    base = rng.random((n, n)) if with_base else None
+    dx, dy, w, tptr = hand_table(n)
+    zeros_or_base = np.zeros((n, n)) if base is None else base
+    daxpy = scipy.linalg.blas.daxpy
+    pieces = []
+
+    def banded_daxpy(x, y, n, a, offx, offy):
+        width = y.shape[0] // q_random.shape[0]
+        for b0, b1 in bands:
+            lo, hi = max(offy, b0 * width), min(offy + n, b1 * width)
+            if lo < hi:
+                pieces.append(hi - lo)
+                daxpy(x, y, n=hi - lo, a=a, offx=offx + lo - offy, offy=lo)
+        return y
+
+    for q in ((q_random < 0.5).astype(np.float64), q_random):
+        want = np.empty((n, n))
+        reference_extremal(q, dx, dy, w, tptr, zeros_or_base, mode, want)
+        single = np.empty((n, n))
+        _extremal(q, dx, dy, w, tptr, base, mode, single)
+        got = np.empty((n, n))
+        with monkeypatch.context() as m:
+            m.setattr(scipy.linalg.blas, "daxpy", banded_daxpy)
+            _extremal(q, dx, dy, w, tptr, base, mode, got)
+        assert got.tobytes() == single.tobytes()
+        assert_matches_reference(got, want, q, dx, dy, w, tptr, zeros_or_base)
+    assert len(pieces) > 2 * len(bands)
+
+
 @pytest.mark.parametrize("mode", ["max", "absmax", "min"])
 def test_engine_matches_reference_bitwise(small_case, mode):
     grid, cutoff, q_random, interval, ts = small_case
