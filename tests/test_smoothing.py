@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import fft as sfft
 from scipy.signal import convolve as direct_convolve
 
 from pinbeam import (
@@ -34,6 +33,24 @@ from conftest import full_square
 def rand_field(n, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return ScalarField(GridSpec(n), rng.random((n, n)) * scale)
+
+
+def row_product_convolve(values, ker):
+    """'same'-mode convolution summed term by term, with no transform.
+
+    One matrix product per kernel row: row offset d adds values[i] times the
+    Toeplitz matrix of kernel row d into output row i + d.  scipy's direct
+    method computes the same sums but takes minutes at N=256.
+    """
+    n, r = values.shape[0], (ker.shape[0] - 1) // 2
+    padded = np.pad(ker, ((0, 0), (n - 1, n - 1)))
+    cols = np.arange(n)
+    toeplitz = cols[None, :] - cols[:, None] + r + n - 1  # [j, b] -> column b - j
+    out = np.zeros((n, n))
+    for d in range(max(-r, 1 - n), min(r, n - 1) + 1):
+        lo, hi = max(0, -d), min(n, n - d)
+        out[lo + d : hi + d] += values[lo:hi] @ padded[d + r][toeplitz]
+    return out
 
 
 class TestPoissonKernel:
@@ -71,6 +88,25 @@ class TestPoissonKernel:
         for t in (1e-3, 0.003, 0.05, 0.3, 3.0):
             assert poisson_kernel(g, t).tobytes() == meshgrid_kernel(g, t).tobytes()
 
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_equals_broadcast_kernel(self, n):
+        # the kernel as built before it was computed in place: broadcast
+        # coordinates, a full-size x^2 + y^2 array and a boolean mask
+        def broadcast_kernel(grid, t):
+            h = grid.h
+            r_tr = 50.0 * t
+            rad = min(math.ceil(r_tr / h), grid.n - 1)
+            d = np.arange(-rad, rad + 1) * h
+            x, y = d[:, None], d[None, :]
+            ker = poisson_point(t, x, y)
+            ker[x * x + y * y > r_tr * r_tr] = 0.0
+            ker /= ker.sum() * (h * h)
+            return ker
+
+        g = GridSpec(n)
+        for t in (1e-3, 0.008, 0.011, 0.05, 0.5, 3.0):
+            assert poisson_kernel(g, t).tobytes() == broadcast_kernel(g, t).tobytes()
+
 
 class TestPoissonSmooth:
     def test_constant_field_preserved(self):
@@ -87,15 +123,26 @@ class TestPoissonSmooth:
     def test_direct_and_fft_paths_agree(self):
         # the transform path against direct convolution with the same kernel:
         # sub-cell to block scales, and kernels spanning the whole window
-        for n, t, seed in ((64, 0.01, 3), (64, 0.002, 4), (256, 1.0 / 512, 5),
-                           (16, 0.5, 6), (32, 0.5, 7)):
-            g = GridSpec(n)
-            h = rand_field(n, seed)
+        cases = [(rand_field(n, seed), t, None) for n, t, seed in (
+            (64, 0.01, 3), (64, 0.002, 4), (256, 1.0 / 512, 5), (16, 0.5, 6), (32, 0.5, 7))]
+        # n + rad is already a fast length (16 + 9 = 25, 32 + 13 = 45), so the
+        # transform has no slack: the far corners' mass wraps to the cells
+        # just before the kept window
+        for n, t, length in ((16, 0.011, 25), (32, 0.008, 45)):
+            corners = np.zeros((n, n))
+            corners[:: n - 1, :: n - 1] = 1.0
+            cases.append((ScalarField(GridSpec(n), corners), t, length))
+        for h, t, length in cases:
+            g = h.grid
             k = poisson_kernel(g, t)
-            if n <= 32:
-                assert k.shape == (2 * n - 1, 2 * n - 1)
+            if t == 0.5:
+                assert k.shape == (2 * g.n - 1, 2 * g.n - 1)
+            smoothing._kernel_spectra.clear()
             ref = direct_convolve(h.values, k, mode="same", method="direct") * g.h**2
             assert np.abs(poisson_smooth(h, t).values - ref).max() <= 1e-12
+            if length is not None:
+                (key,) = smoothing._kernel_spectra._store
+                assert key[-1] == length
 
     def test_integral_preserved_for_interior_support(self):
         # field supported well inside; truncated kernel keeps every
@@ -122,31 +169,30 @@ class TestPoissonSmooth:
         assert devs[256] >= 1.5 * devs[512]
 
     @pytest.mark.parametrize("n", [16, 64, 256])
-    def test_multi_equals_kernel_first_version(self, n):
-        # the function as it was when it built every kernel before looking
-        # up the spectrum cache, and inverted into a fresh array
-        def kernel_first_multi(field, scales):
-            grid = field.grid
-            kernels = [poisson_kernel(grid, t) for t in scales]
-            rads = [(k.shape[0] - 1) // 2 for k in kernels]
-            size = sfft.next_fast_len(n + 2 * max(rads))
-            f_hat = sfft.rfft2(field.values, (size, size))
-            outs = []
-            for ker, rad in zip(kernels, rads):
-                # named, as the cache holds it: numpy would multiply an unnamed
-                # temporary in place with the operands swapped, which rounds
-                # differently
-                k_hat = sfft.rfft2(ker, (size, size))
-                conv = sfft.irfft2(f_hat * k_hat, (size, size))
-                outs.append(conv[rad : rad + n, rad : rad + n] * (grid.h * grid.h))
-            return outs
-
+    def test_multi_matches_direct_convolution(self, n):
         h = rand_field(n, 11)
         for scales in ([0.5], [1 / 64, 1 / 4, 1 / 16], [0.003, 2.0]):
-            want = [v.tobytes() for v in kernel_first_multi(h, scales)]
             smoothing._kernel_spectra.clear()
-            for _ in range(2):  # the first call fills the spectrum cache, the second reads it
-                assert [f.values.tobytes() for f in poisson_smooth_multi(h, scales)] == want
+            # the first call fills the spectrum cache, the second reads it
+            first, cached = (poisson_smooth_multi(h, scales) for _ in range(2))
+            for t, a, b in zip(scales, first, cached):
+                assert a.values.tobytes() == b.values.tobytes()
+                k = poisson_kernel(h.grid, t)
+                if n <= 64:
+                    ref = direct_convolve(h.values, k, mode="same", method="direct")
+                else:
+                    ref = row_product_convolve(h.values, k)
+                assert np.abs(a.values - ref * h.grid.h**2).max() <= 1e-12
+
+    def test_fft_thread_count_changes_no_bit(self, monkeypatch):
+        for n, scales in ((256, [1 / 64, 1 / 2]), (64, [1 / 64, 1 / 2])):
+            h = rand_field(n, 13)
+            outs = []
+            for workers in (1, 2):
+                monkeypatch.setattr(smoothing, "_FFT_WORKERS", workers)
+                smoothing._kernel_spectra.clear()
+                outs.append([f.values.tobytes() for f in poisson_smooth_multi(h, scales)])
+            assert outs[0] == outs[1]
 
     def test_cached_call_builds_no_kernel(self, monkeypatch):
         h = rand_field(64, 12)
@@ -188,6 +234,26 @@ def test_import_leaves_scipy_signal_unloaded():
     # every command pays the package import; scipy.signal alone costs more
     # than the rest of it
     assert not loaded_by_import("scipy.signal")
+
+
+def test_smoothing_peak_memory_at_n1024():
+    # a kernel spanning the window (rad = n - 1) at N=1024: the (n + rad)
+    # transform peaks near 230 MB in a fresh interpreter, the old n + 2 rad
+    # one near 430 MB
+    src = Path(__file__).resolve().parents[1] / "src"
+    # VmHWM, not ru_maxrss: Linux carries the parent's peak into a child's
+    # ru_maxrss across exec, so under pytest it reads the test process's peak
+    code = """
+import numpy as np
+from pinbeam import GridSpec, ScalarField, poisson_smooth
+poisson_smooth(ScalarField(GridSpec(1024), np.random.default_rng(0).random((1024, 1024))), 0.5)
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert int(out.stdout) < 320 * 1024  # kB
 
 
 def test_import_leaves_scipy_linalg_unloaded():
