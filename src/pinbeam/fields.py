@@ -25,7 +25,7 @@ vector among its threads changes no bit.
 Rounding: on x86-64 CPUs with fused multiply-add (Haswell and later)
 OpenBLAS's daxpy kernels compute acc + w*q with one rounding per group term,
 where two numpy passes (multiply, then add) round twice.  On 0/1 inputs
-(indicators, lhs, the min field) w*q is exact, so the field is bit-identical
+(indicators, lhs) w*q is exact, so the field is bit-identical
 to the two-pass sum.  On smoothed inputs a cell may differ from the two-pass
 sum by about one unit in the last place (at most 4.4e-16 absolute in the
 harness's quantities on N=256 decompose runs).  A CPU whose kernel has no
@@ -43,13 +43,13 @@ returns a copy, so callers may mutate what they get.  The shift table,
 which depends only on the grid, the cutoff and ts, is likewise built once
 per (grid, cutoff, ts) and stored with read-only arrays.
 
-The size 7 covers the harness flow of one block at two values of rho: the
+The size 6 covers the harness flow of one block at two values of rho: the
 small-scale check computes the deviation field D(rho) for both values, then
-each decomposition asks for term 4 (equal to D(rho)) first, then lhs and
-the min field (neither depends on rho), then terms 1-3.  Between D(rho2)
-and its reuse as term 4 of the second decomposition the store takes in
-D(rho1), lhs, min and the first decomposition's terms 1-3, which with
-D(rho2) is seven fields (3.5 MB at N=256), so all four repeats are hits.
+each decomposition asks for term 4 (equal to D(rho)) first, then lhs (which
+does not depend on rho), then terms 1-3.  Between D(rho2) and its reuse as
+term 4 of the second decomposition the store takes in D(rho1), lhs and the
+first decomposition's terms 1-3, which with D(rho2) is six fields (3 MB at
+N=256), so all three repeats are hits.
 """
 
 from __future__ import annotations
@@ -59,19 +59,18 @@ import hashlib
 import numpy as np
 
 from .cache import LRUCache
-from .kernel import Cutoff, support_radius, t_grid
+from .kernel import Cutoff, cell_shifts, support_radius, t_grid
 from .raster import GridSpec
 
 __all__ = ["extremal_conv_field", "field_cache", "shift_table"]
 
 MODE_MAX = 0
 MODE_ABSMAX = 1
-MODE_MIN = 2
 
-_MODES = {"max": MODE_MAX, "absmax": MODE_ABSMAX, "min": MODE_MIN}
+_MODES = {"max": MODE_MAX, "absmax": MODE_ABSMAX}
 
-# Fields kept for reuse; the module docstring says where 7 comes from.
-FIELD_CACHE_SIZE = 7
+# Fields kept for reuse; the module docstring says where 6 comes from.
+FIELD_CACHE_SIZE = 6
 
 field_cache = LRUCache(FIELD_CACHE_SIZE)
 _shift_tables = LRUCache(4)
@@ -86,12 +85,12 @@ def shift_table(cutoff: Cutoff, grid: GridSpec, ts: np.ndarray):
     """
     ts = np.asarray(ts, dtype=np.float64)
     m = cutoff.nodes.shape[0]
-    tk = (ts / grid.h)[:, None]
+    fx, fy = cell_shifts(cutoff, ts, grid.h)
     key = np.stack(
         [
             np.repeat(np.arange(ts.shape[0], dtype=np.int64), m),
-            np.floor(0.5 + tk * cutoff.nodes).astype(np.int64).ravel(),
-            np.floor(0.5 + tk * cutoff.node_powers).astype(np.int64).ravel(),
+            np.floor(fx).astype(np.int64).ravel(),
+            np.floor(fy).astype(np.int64).ravel(),
         ],
         axis=1,
     )
@@ -142,8 +141,6 @@ def _extremal(q, dx, dy, w, tptr, base, mode, out):
             np.abs(acc, out=acc)
         if k == 0:
             ext[:] = acc
-        elif mode == MODE_MIN:
-            np.minimum(ext, acc, out=ext)
         else:
             np.maximum(ext, acc, out=ext)
     out[:] = ext.reshape(n, width)[:, :n]
@@ -177,9 +174,10 @@ def extremal_conv_field(
 ) -> np.ndarray:
     """Per-cell extremum over scales of the curve average of q (minus base).
 
-    mode 'max' tracks the signed maximum of the average, 'min' the signed
-    minimum, 'absmax' the maximum of |average - base|.  `base` defaults to
-    zero.  Evaluation is at cell centers; samples outside the window read 0.
+    mode 'max' tracks the signed maximum of the average, 'absmax' the
+    maximum of |average - base|.  `base` defaults to zero.  Evaluation is at
+    cell centers through bare integer shifts: samples outside the window, and
+    on its far edge, read 0.
     Repeated requests are answered from the store described in the module
     docstring.
     """

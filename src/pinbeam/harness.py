@@ -29,11 +29,12 @@ from .kernel import Cutoff, CurveParams, support_radius, t_grid
 from .prospect import (
     ResolutionError,
     ScaleLadder,
+    block_hypothesis_holds,
     check_arc_resolution,
     dyadic_round_down,
     is_dyadic,
 )
-from .raster import RasterSet, ScalarField, complement_in_window, indicator, measure
+from .raster import RasterSet, ScalarField, complement_in_window, measure
 from .smoothing import lp_norm, martingale_average, poisson_smooth_multi
 
 __all__ = [
@@ -176,7 +177,8 @@ def compute_decomposition(
     an analytic estimate; its violation beyond 1e-9 indicates a bug.  With
     check_hypothesis=True the report also tests whether every set point has
     a scale in the block whose arc misses the set entirely, in which case
-    (for j > J0) lhs must reach integral_f - 4 tau.
+    (for j > J0) lhs must reach integral_f - 4 tau.  The ladder scan answers
+    that test on the same scale grid (``prospect.block_hypothesis_holds``).
     """
     grid = a.grid
     b, c, s_lo, s_hi, k_j, d_j = _block_scales(grid, ladder, j, constants.rho)
@@ -197,14 +199,9 @@ def compute_decomposition(
 
     # The fields that repeat across calls come first, so that the field
     # store still holds them (see pinbeam.fields): term 4 equals the
-    # small-scale deviation field of this rho, and lhs and the min field do
-    # not depend on rho.
+    # small-scale deviation field of this rho, and lhs does not depend on rho.
     t4 = sup_abs(p_hi.values, base=p_hi.values)
     lhs_field = extremal_conv_field(g.values, grid, cutoff, interval, "max", ts=ts)
-    if check_hypothesis:
-        inf_field = extremal_conv_field(
-            indicator(a).values, grid, cutoff, interval, "min", ts=ts
-        )
     t1 = sup_abs(g.values - eg.values)
     t2 = sup_abs(eg.values - p_lo.values)
     t3 = sup_abs(p_lo.values - p_hi.values)
@@ -220,7 +217,7 @@ def compute_decomposition(
     hypothesis = None
     tb_ok = None
     if check_hypothesis:
-        hypothesis = bool((inf_field[a.bitmap] <= 0.0).all())
+        hypothesis = block_hypothesis_holds(a, ladder, j, cutoff, min_per_octave)
         tb_ok = (not hypothesis) or lhs >= bound - TAUBELOW_TOL
 
     return DecompositionReport(

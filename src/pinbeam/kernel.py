@@ -23,6 +23,7 @@ __all__ = [
     "Cutoff",
     "arc_hits_set",
     "build_cutoff",
+    "cell_shifts",
     "curve_average",
     "param_from_scale",
     "scale_from_param",
@@ -240,6 +241,17 @@ def arc_hits_set(a: RasterSet, pt, t: float, cutoff: Cutoff) -> np.ndarray:
     xs, ys = _sample_points(cutoff, t, pt)
     vals = sample_values(a, xs, ys)
     return t * cutoff.nodes[vals > 0]
+
+
+def cell_shifts(cutoff: Cutoff, ts: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """1/2 + (t/h) * u and 1/2 + (t/h) * u^beta over (scale, node).
+
+    Their floors are the whole-cell shifts of each arc sample from a cell
+    centre; the one rounding rule that the field engine and the ladder scan
+    share.
+    """
+    tk = (np.asarray(ts, dtype=np.float64) / h)[:, None]
+    return 0.5 + tk * cutoff.nodes, 0.5 + tk * cutoff.node_powers
 
 
 def t_grid(c: float, b: float, h: float, radius: float, min_per_octave: int = 16) -> np.ndarray:

@@ -10,13 +10,16 @@ certificate is expressed back in the caller's system.
 
 Sample points follow the one convention of ``raster.cells_of_points``.  A
 sample at offset (t u, t u^beta) from the centre of cell (ix, iy) lies in
-cell (ix + sx, iy + sy) with (sx, sy) = floor(1/2 + (t u, t u^beta) / h), so
-the scan reads integer offsets from a zero-padded bitmap, one gather per
-batch of cells.  This is a shortcut, kept exact by a tie guard: a scale with
-some 1/2 + t u / h or 1/2 + t u^beta / h within rounding distance of an
-integer (a sample on or next to a cell edge, the window's far edge among
-them) is looked up through ``cells_of_points`` instead.  The scan's outcome
-is therefore the one that per-point lookups give, bit for bit.
+cell (ix + sx, iy + sy) with (sx, sy) = floor(1/2 + (t / h) (u, u^beta)),
+the rounding rule of ``kernel.cell_shifts``, so the scan reads integer
+offsets from a zero-padded bitmap, one gather per batch of cells.  This is
+a shortcut, kept exact by a tie guard: a scale with some 1/2 + (t / h) u or
+1/2 + (t / h) u^beta within rounding distance of an integer (a sample on or
+next to a cell edge, the window's far edge among them) is looked up through
+``cells_of_points`` instead.  The scan's outcome is therefore the one that
+per-point lookups give, bit for bit.  The same scan answers the
+decomposition's block hypothesis (every set point has a block scale whose
+arc misses the set).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .kernel import (
     CurveParams,
     Cutoff,
     build_cutoff,
+    cell_shifts,
     param_from_scale,
     scale_from_param,
     support_radius,
@@ -46,6 +50,7 @@ __all__ = [
     "ResolutionError",
     "SamplingConfig",
     "ScaleLadder",
+    "block_hypothesis_holds",
     "check_arc_resolution",
     "default_ladder",
     "dyadic_round_down",
@@ -281,17 +286,17 @@ def _block(
     ox = np.outer(ts, work.cutoff.nodes)
     oy = np.outer(ts, work.cutoff.node_powers)
     ratio = (b / c) ** (1.0 / (len(ts) - 1)) if len(ts) > 1 else 1.0
-    # Bound on the gap between floor(1/2 + t u / h) and the per-point
-    # lookup's float path, floor((x0 + (ix + 1/2) h + t u - x0) / h) - ix,
-    # and likewise in y; a scale with a sample this close to an edge is a tie.
+    # Bound on the gap between floor(1/2 + (t / h) u), the field engine's
+    # rounding rule, and the per-point lookup's float path,
+    # floor((x0 + (ix + 1/2) h + t u - x0) / h) - ix, and likewise in y; a
+    # scale with a sample this close to an edge is a tie.  The margin also
+    # covers the few ulps between (t / h) u and (t u) / h.
     x0, y0 = grid.origin
     extent = abs(x0) + abs(y0) + grid.side + max(ox.max(), oy.max())
     margin = 8.0 * np.finfo(np.float64).eps * extent / h
     near = np.zeros(len(ts), dtype=bool)
     shifts = []
-    for off in (ox, oy):
-        f = off / h
-        f += 0.5
+    for f in cell_shifts(work.cutoff, ts, h):
         s = np.floor(f)
         f -= s
         f -= 0.5
@@ -299,7 +304,8 @@ def _block(
         shifts.append(s.astype(np.int64))
     sx, sy = shifts
     keep = (sx < n) & (sy < n)
-    # Nodes ascend and beta > 1, so repeated offsets within a scale are adjacent.
+    # Nodes and their powers ascend for any beta > 0, so repeated offsets
+    # within a scale are adjacent.
     keep[:, 1:] &= (sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1])
     counts = keep.sum(axis=1)
     filled = counts > 0
@@ -317,6 +323,32 @@ def _block(
         filled=filled,
         ties=np.flatnonzero(near),
     )
+
+
+def _padded(raster: RasterSet, b: float, cutoff: Cutoff) -> tuple[np.ndarray, int]:
+    """The raster's bitmap zero-padded for offsets up to scale b, flat, and its width.
+
+    Offsets are nonnegative (arc nodes are positive) and below scale b's
+    reach, so padding the far sides by that reach, at most n, lets every
+    in-range offset read a zero instead of leaving the window.
+    """
+    n, h = raster.grid.n, raster.grid.h
+    reach = b * max(cutoff.nodes.max(), cutoff.node_powers.max()) / h
+    width = n + min(n, math.ceil(reach) + 1)
+    padded = np.zeros((width, width), dtype=bool)
+    padded[:n, :n] = raster.bitmap
+    return padded.ravel(), width
+
+
+def _batches(cells: np.ndarray, grid: GridSpec, width: int):
+    """Batches of cells doubling from one: (padded offsets, centre x, centre y)."""
+    n, h = grid.n, grid.h
+    x0, y0 = grid.origin
+    start, size = 0, 1
+    while start < len(cells):
+        iy, ix = np.divmod(cells[start : start + size], n)
+        yield iy * width + ix, x0 + (ix + 0.5) * h, y0 + (iy + 0.5) * h
+        start, size = start + size, 2 * size
 
 
 def _hits_matrix(work_raster: RasterSet, xc, yc, ox, oy) -> np.ndarray:
@@ -411,29 +443,13 @@ def prospect(
     b_last = ladder.block(ladder.depth)[0]
     check_arc_resolution(grid, work.params.theta, b_last, f"finest ladder block (b_J={b_last:g})")
     cells = _scan_cells(work.raster, sampling)
-    n, h = grid.n, grid.h
-    x0, y0 = grid.origin
-
-    # Offsets are nonnegative (arc nodes are positive) and below the widest
-    # block's reach, so padding the far sides by that reach, at most n, lets
-    # every in-range offset read a zero instead of leaving the window.
-    cutoff = work.cutoff
-    reach = ladder.block(1)[0] * max(cutoff.nodes.max(), cutoff.node_powers.max()) / h
-    width = n + min(n, math.ceil(reach) + 1)
-    padded = np.zeros((width, width), dtype=bool)
-    padded[:n, :n] = work.raster.bitmap
-    padded = padded.ravel()
+    padded, width = _padded(work.raster, ladder.block(1)[0], work.cutoff)
 
     # Batches double from one cell, so an early certificate costs little; a
     # later block only sees the cells before the batch's first certified one.
     blocks: dict[int, _Block] = {}
     points: list = []
-    start, size = 0, 1
-    while start < len(cells):
-        iy, ix = np.divmod(cells[start : start + size], n)
-        flat = iy * width + ix
-        xc = x0 + (ix + 0.5) * h
-        yc = y0 + (iy + 0.5) * h
+    for flat, xc, yc in _batches(cells, grid, width):
         viol_t = np.empty((len(flat), ladder.depth))
         limit, cert_j = len(flat), 0
         for j in range(1, ladder.depth + 1):
@@ -459,8 +475,26 @@ def prospect(
             ((x, y), tuple(zip(range(1, ladder.depth + 1), row)))
             for x, y, row in zip(px.tolist(), py.tolist(), viol_t.tolist())
         )
-        start, size = start + len(flat), 2 * size
     return ExhaustionReport(ladder=ladder, points=tuple(points), scanned=len(cells))
+
+
+def block_hypothesis_holds(
+    a: RasterSet, ladder: ScaleLadder, j: int, cutoff: Cutoff, min_per_octave: int = 16
+) -> bool:
+    """True iff every set cell has a scale of block j whose arc misses the set.
+
+    The arcs are the cutoff's own (no coordinate swap), sampled on the scale
+    grid of ``t_grid`` for the block, and membership follows
+    ``cells_of_points``.  Stops at the first batch of cells that holds a
+    cell with a witness at every scale.
+    """
+    work = _WorkingSystem(a, cutoff.params, cutoff, False)
+    padded, width = _padded(a, ladder.block(j)[0], cutoff)
+    blk = _block(work, ladder, j, min_per_octave, width)
+    return all(
+        (_first_misses(blk, padded, flat, xc, yc, a) < len(blk.ts)).all()
+        for flat, xc, yc in _batches(np.flatnonzero(a.bitmap), a.grid, width)
+    )
 
 
 # ---------------------------------------------------------------------------

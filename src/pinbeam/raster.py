@@ -132,10 +132,12 @@ def cells_of_points(grid: GridSpec, xs: np.ndarray, ys: np.ndarray):
     Cell ix covers the half-open interval [x0 + ix h, x0 + (ix + 1) h), and
     likewise in y.  The window itself is closed: a point on its far edge
     x = x0 + side (or y = y0 + side) is inside and clamps to the last cell.
-    Curve averages, arc carving, the ladder search and certificate
-    verification all follow it (the search through integer offsets kept
-    exact by a tie guard); only the extremal field engine in ``fields``
-    uses bare integer shifts, which read 0 on the far edge.
+    Curve averages, arc carving, the ladder search, the block-hypothesis
+    check and certificate verification all follow it (the search and the
+    check through integer offsets kept exact by a tie guard).  The extremal
+    field engine in ``fields`` uses bare integer shifts, which read 0 on the
+    far edge; they serve only float fields, and no set-membership answer
+    uses them.
     Returns integer index arrays ``(ix, iy)`` plus a boolean mask of points
     inside the closed window.
     """
@@ -200,9 +202,13 @@ def save_raster(a: RasterSet, path, write_sidecar: bool | None = None) -> None:
     body[:, :n] = np.where(a.bitmap, ord("1"), ord("0"))
     path.write_bytes(f"PB {n}\n".encode() + body.tobytes())
     default_window = a.grid.origin == (0.0, 0.0) and a.grid.side == 1.0
+    sidecar = _sidecar_path(path)
     if write_sidecar or (write_sidecar is None and not default_window):
         meta = {"window_origin": list(a.grid.origin), "window_side": a.grid.side}
-        _sidecar_path(path).write_text(json.dumps(meta))
+        sidecar.write_text(json.dumps(meta))
+    else:
+        # A sidecar left by an earlier save would give this raster its window.
+        sidecar.unlink(missing_ok=True)
 
 
 def load_raster(path) -> RasterSet:

@@ -177,10 +177,10 @@ class TestHarnessCmd:
                    "--rhos", "0.25", "0.125", "--tau", "1.7", "--nodes", "32",
                    "--check-hypothesis", "--outdir", str(outdir)])
         assert rc == EXIT_OK
-        # 2 deviation fields, 2 x 6 decomposition fields (4 of them repeats)
+        # 2 deviation fields, 2 x 5 decomposition fields (3 of them repeats)
         # and 6 decay octaves
-        assert len(engine_runs) == 16
-        assert "fields: computed 16 of 20 requested\n" in capsys.readouterr().err
+        assert len(engine_runs) == 15
+        assert "fields: computed 15 of 18 requested\n" in capsys.readouterr().err
         payload = json.loads((outdir / "harness.json").read_text())
         assert len(payload["decompositions"]) == 2
         assert all(r["triangle_ok"] for r in payload["decompositions"])

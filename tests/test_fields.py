@@ -15,7 +15,6 @@ from pinbeam.fields import (
     _MODES,
     MODE_ABSMAX,
     MODE_MAX,
-    MODE_MIN,
     _extremal,
     extremal_conv_field,
     field_cache,
@@ -51,12 +50,7 @@ def brute_extremum(q, grid, cutoff, ts, mode, base=None):
                 v = acc - base[r, c]
                 if mode == "absmax":
                     v = abs(v)
-                if best is None:
-                    best = v
-                elif mode == "min":
-                    best = min(best, v)
-                else:
-                    best = max(best, v)
+                best = v if best is None else max(best, v)
             out[r, c] = best
     return out
 
@@ -73,7 +67,7 @@ def small_case():
     return grid, cutoff, q, interval, ts
 
 
-@pytest.mark.parametrize("mode", ["max", "absmax", "min"])
+@pytest.mark.parametrize("mode", ["max", "absmax"])
 def test_engine_matches_brute_force(small_case, mode):
     grid, cutoff, q, interval, ts = small_case
     got = extremal_conv_field(q, grid, cutoff, interval, mode)
@@ -123,8 +117,6 @@ def reference_extremal(q, dx, dy, w, tptr, base, mode, out):
             np.abs(val, out=val)
         if k == 0:
             out[:] = val
-        elif mode == MODE_MIN:
-            np.minimum(out, val, out=out)
         else:
             np.maximum(out, val, out=out)
 
@@ -147,7 +139,7 @@ def fma_bound(q, dx, dy, w, tptr, base):
     the cell's sum of |w_g q_g| plus |base|.  Each side then lies within
     gamma_(G+2) * M of the exact value (G products or fused terms, G sums
     and the subtraction of base; gamma_k = k u / (1 - k u), u = 2^-53),
-    and abs, max and min add no error.  The two sides thus differ by at
+    and abs and max add no error.  The two sides thus differ by at
     most 2 gamma_(G+2) M, which (G + 3) * eps * M covers (eps = 2u; the
     extra eps * M absorbs the 1 / (1 - k u) factor and the rounding in
     computing M).  G is the largest group count of any scale, M the largest
@@ -170,7 +162,7 @@ def assert_matches_reference(got, want, q, dx, dy, w, tptr, base):
 
 
 @pytest.mark.parametrize(
-    "mode, with_base", [(MODE_MAX, False), (MODE_ABSMAX, True), (MODE_MIN, False), (MODE_MIN, True)]
+    "mode, with_base", [(MODE_MAX, False), (MODE_ABSMAX, True)]
 )
 @pytest.mark.parametrize("indicator", [True, False], ids=["q01", "qrandom"])
 def test_single_pass_matches_reference(mode, with_base, indicator):
@@ -190,7 +182,7 @@ def test_single_pass_matches_reference(mode, with_base, indicator):
 
 
 @pytest.mark.parametrize(
-    "mode, with_base", [(MODE_MAX, False), (MODE_ABSMAX, True), (MODE_MIN, False), (MODE_MIN, True)]
+    "mode, with_base", [(MODE_MAX, False), (MODE_ABSMAX, True)]
 )
 @pytest.mark.parametrize(
     "bands", [[(0, 13)], [(0, 7), (7, 13)], [(0, 1), (1, 3), (3, 4), (4, 9), (9, 12), (12, 13)]]
@@ -239,7 +231,7 @@ def test_bands_match_reference_bitwise(monkeypatch, mode, with_base, bands):
     assert len(pieces) > 2 * len(bands)
 
 
-@pytest.mark.parametrize("mode", ["max", "absmax", "min"])
+@pytest.mark.parametrize("mode", ["max", "absmax"])
 def test_engine_matches_reference_bitwise(small_case, mode):
     grid, cutoff, q_random, interval, ts = small_case
     base = np.full_like(q_random, 0.3) if mode == "absmax" else np.zeros_like(q_random)
@@ -357,7 +349,7 @@ def _one_scale(ts):
 VARIANTS = {
     "one cell of q": lambda k: {**k, "q": _one_cell(k["q"])},
     "base zeros instead of None": lambda k: {**k, "base": np.zeros_like(k["q"])},
-    "mode": lambda k: {**k, "mode": "min"},
+    "mode": lambda k: {**k, "mode": "absmax"},
     "ts": lambda k: {**k, "ts": _one_scale(k["ts"])},
     "a weight": lambda k: {**k, "cutoff": _one_weight(k["cutoff"])},
     "grid origin": lambda k: {**k, "grid": GridSpec(16, (0.5, 0.0))},

@@ -6,9 +6,12 @@ import pytest
 
 from pinbeam import (
     CurveParams,
+    Cutoff,
     GridSpec,
     HarnessConstants,
+    RasterSet,
     ScalarField,
+    arc_hits_set,
     build_cutoff,
     check_smallt_scaling,
     compute_decomposition,
@@ -21,11 +24,13 @@ from pinbeam import (
     martingale_average,
     measure,
     pairing,
+    support_radius,
 )
 import pinbeam.harness as harness
 from pinbeam.constructions import dead_strip_set
 from pinbeam.fields import extremal_conv_field, field_cache
 from pinbeam.harness import decay_sweep
+from pinbeam.kernel import t_grid
 from pinbeam.prospect import ResolutionError, default_ladder
 from pinbeam.raster import complement_in_window
 from pinbeam.reports import grid_csv, harness_to_dict
@@ -171,6 +176,28 @@ class TestDecomposition:
         assert rep.lhs >= rep.integral_f - 4 * const.tau - 1e-9
         assert rep.lhs > 0.01  # genuinely positive pairing, not vacuous
 
+    def test_far_edge_witness_breaks_the_hypothesis(self):
+        # At t = 1/8 node 72/32 puts the sample of cell (11, 2) exactly on
+        # the window's far edge x = 1, inside set cell (15, 12) by the one
+        # convention.  With that witness the cell meets the set at every
+        # block scale, so the hypothesis fails.
+        nodes = np.array([48, 49, 50, 55, 66, 72, 74]) / 32
+        cut = Cutoff(P24, nodes, np.full(nodes.size, 1.0 / nodes.size), 0.5)
+        grid = GridSpec(16)
+        bm = generate_random(grid, 0.02, 18803).bitmap.copy()
+        bm[[2, 7, 8, 9, 10, 12, 13, 15], 15] = True
+        a = RasterSet(grid, bm)
+        ladder = default_ladder(2)
+        b, c = ladder.block(2)
+        pt = ((11 + 0.5) * grid.h, (2 + 0.5) * grid.h)
+        assert bm[2, 11]
+        assert pt[0] + (1.0 / 8) * (72 / 32) == 1.0 and bm[12, 15]
+        for t in t_grid(c, b, grid.h, support_radius(P24)):
+            assert arc_hits_set(a, pt, t, cut).size > 0
+        const = HarnessConstants(tau=1.7, rho=1.0)
+        rep = compute_decomposition(a, 2, ladder, cut, const, check_hypothesis=True)
+        assert rep.hypothesis_holds is False
+
 
 def _two_rho_flow(a, cut):
     """The harness flow for one block: small-t check, then one decomposition per rho."""
@@ -192,15 +219,15 @@ def _two_rho_flow(a, cut):
 
 
 class TestFieldReuse:
-    def test_two_rho_flow_computes_ten_fields_with_unchanged_outputs(
+    def test_two_rho_flow_computes_nine_fields_with_unchanged_outputs(
         self, monkeypatch, engine_runs
     ):
         a = generate_random(GridSpec(64), 0.4, 21)
         cut = build_cutoff(P24, 32, 0.5)
         field_cache.clear()
         reused = _two_rho_flow(a, cut)
-        # 14 requests: 2 deviation fields, 2 x 6 decomposition fields
-        assert len(engine_runs) == 10
+        # 12 requests: 2 deviation fields, 2 x 5 decomposition fields
+        assert len(engine_runs) == 9
 
         field = harness.extremal_conv_field
 
@@ -211,7 +238,7 @@ class TestFieldReuse:
         monkeypatch.setattr(harness, "extremal_conv_field", uncached)
         engine_runs.clear()
         fresh = _two_rho_flow(a, cut)
-        assert len(engine_runs) == 14
+        assert len(engine_runs) == 12
         assert reused == fresh
 
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinbeam import (
@@ -34,7 +34,13 @@ from pinbeam import (
 )
 from pinbeam.constructions import carve_block_arcs, checkerboard, dead_strip_set
 from pinbeam.kernel import support_radius, t_grid
-from pinbeam.prospect import ResolutionError, _certificate, _hits_matrix, _working_system
+from pinbeam.prospect import (
+    ResolutionError,
+    _certificate,
+    _hits_matrix,
+    _working_system,
+    block_hypothesis_holds,
+)
 from pinbeam.raster import cells_of_points
 
 from conftest import full_square
@@ -429,9 +435,7 @@ class TestBatchedScanMatchesReference:
 
 EDGE_WINDOWS = [((0.0, 0.0), 1.0), ((0.125, -2.0), 0.75)]
 
-
-@settings(max_examples=60, deadline=None)
-@given(
+EDGE_CASES = dict(
     window=st.sampled_from(EDGE_WINDOWS),
     n=st.sampled_from([16, 32]),
     ms=st.lists(st.integers(32, 76), min_size=4, max_size=16, unique=True),
@@ -439,18 +443,29 @@ EDGE_WINDOWS = [((0.0, 0.0), 1.0), ((0.125, -2.0), 0.75)]
     seed=st.integers(0, 2**16),
     last_column=st.integers(0, 2**16),
 )
-def test_edge_samples_follow_one_convention(window, n, ms, density, seed, last_column):
+
+
+def _edge_case(window, n, ms, density, seed, last_column, params=P24):
+    """A random set and an equal-weight cutoff whose samples sit on cell edges.
+
+    Nodes on multiples of side/32 put t u / h on half-integers at the dyadic
+    scales t of default_ladder(2), so samples land exactly on interior cell
+    edges and on the window's far edge.
+    """
     origin, side = window
-    # Nodes on multiples of side/32 put t u / h on half-integers at the dyadic
-    # scales t of default_ladder(2), so samples land exactly on interior cell
-    # edges and on the window's far edge.
     nodes = np.array(sorted(ms), dtype=np.float64) * (side / 32)
-    cutoff = Cutoff(P24, nodes, np.full(nodes.size, 1.0 / nodes.size), 0.5)
+    cutoff = Cutoff(params, nodes, np.full(nodes.size, 1.0 / nodes.size), 0.5)
     grid = GridSpec(n, origin, side)
     bm = generate_random(grid, density, seed).bitmap.copy()
     bm[:, n - 1] |= (last_column >> (np.arange(n) % 16)) & 1 == 1  # far-edge samples read these
-    a = RasterSet(grid, bm)
-    ladder, sampling = default_ladder(2), SamplingConfig(nodes=nodes.size)
+    return RasterSet(grid, bm), cutoff
+
+
+@settings(max_examples=60, deadline=None)
+@given(**EDGE_CASES)
+def test_edge_samples_follow_one_convention(window, n, ms, density, seed, last_column):
+    a, cutoff = _edge_case(window, n, ms, density, seed, last_column)
+    ladder, sampling = default_ladder(2), SamplingConfig(nodes=cutoff.node_count)
     with mock.patch("pinbeam.prospect.build_cutoff", return_value=cutoff):
         got = prospect(a, ladder, P24, sampling)
         assert got == reference_prospect(a, ladder, P24, sampling)
@@ -460,6 +475,38 @@ def test_edge_samples_follow_one_convention(window, n, ms, density, seed, last_c
         for pt, violations in got.points:
             for _, t in violations:
                 assert arc_hits_set(a, pt, t, cutoff).size == 0
+
+
+def hypothesis_by_lookups(a, ladder, j, cutoff):
+    """Every set cell has a block-j scale at which arc_hits_set finds nothing."""
+    grid = a.grid
+    b, c = ladder.block(j)
+    ts = t_grid(c, b, grid.h, support_radius(cutoff.params))
+    x0, y0 = grid.origin
+    return all(
+        any(arc_hits_set(a, (x0 + (ix + 0.5) * grid.h, y0 + (iy + 0.5) * grid.h), t, cutoff).size == 0
+            for t in ts)
+        for iy, ix in np.argwhere(a.bitmap)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(**EDGE_CASES, j=st.sampled_from([1, 2]), beta=st.sampled_from([2.0, 0.5]))
+# Sets where some cell's only witness at one scale lies on the window's far
+# edge: a sample read there as 0 would report the hypothesis as holding.
+@example(window=EDGE_WINDOWS[0], n=16, ms=[48, 51, 38, 50, 62, 40], density=0.3, seed=286,
+         last_column=286, j=1, beta=2.0)
+@example(window=EDGE_WINDOWS[1], n=16, ms=[48, 60, 40, 49, 63], density=0.02, seed=990,
+         last_column=990, j=2, beta=2.0)
+@example(window=EDGE_WINDOWS[0], n=16, ms=[50, 58, 40, 41, 70], density=0.1, seed=8074,
+         last_column=8074, j=2, beta=0.5)
+def test_block_hypothesis_matches_point_lookups(window, n, ms, density, seed, last_column, j, beta):
+    # beta < 1: the harness passes such cutoffs unswapped, and so does the check
+    params = CurveParams(beta, 1.0, 2.4)
+    a, cutoff = _edge_case(window, n, ms, density, seed, last_column, params)
+    ladder = default_ladder(2)
+    want = hypothesis_by_lookups(a, ladder, j, cutoff)
+    assert block_hypothesis_holds(a, ladder, j, cutoff) == want
 
 
 class TestAxisSwapRoute:

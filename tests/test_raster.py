@@ -163,6 +163,15 @@ class TestFileFormat:
         assert back.grid == a.grid
         assert (back.bitmap == a.bitmap).all()
 
+    def test_default_window_save_removes_stale_sidecar(self, tmp_path):
+        p = tmp_path / "t.pb"
+        save_raster(RasterSet(GridSpec(8, (1.0, 2.0), 4.0), np.eye(8, dtype=bool)), p)
+        a = generate_random(GridSpec(8), 0.3, 5)
+        save_raster(a, p)
+        back = load_raster(p)
+        assert back.grid == GridSpec(8)
+        assert (back.bitmap == a.bitmap).all()
+
     def test_missing_sidecar_defaults_to_unit_window(self, tmp_path):
         p = tmp_path / "t.pb"
         p.write_text("PB 2\n11\n00\n")
