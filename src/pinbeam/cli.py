@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -304,8 +305,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     strip_params = CurveParams(2.0, 1.0, 1.05)
     strips = constructions.dead_strip_set(128, strip_params, default_ladder(2), 2)
     t0 = time.perf_counter()
-    prospect(strips, default_ladder(2), strip_params, _sampling(cfg))
+    outcome = prospect(strips, default_ladder(2), strip_params, _sampling(cfg))
     rows.append(("prospect exhaustion", time.perf_counter() - t0))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.perf_counter()
+        write_json(Path(tmp) / "exhaustion.json", exhaustion_to_dict(outcome))
+        rows.append(("exhaustion report", time.perf_counter() - t0))
 
     for name, dt in rows:
         print(f"{name:24s} {dt * 1000:10.1f} ms")

@@ -158,7 +158,7 @@ def plateau_bump(u: np.ndarray, eta: float, theta: float, plateau_frac: float) -
 
 @dataclass(frozen=True)
 class Cutoff:
-    """Quadrature nodes and unit-mass weights for the arc cutoff."""
+    """Quadrature nodes and positive, unit-mass weights for the arc cutoff."""
 
     params: CurveParams
     nodes: np.ndarray
@@ -171,8 +171,11 @@ class Cutoff:
         weights = np.array(self.weights, dtype=np.float64, order="C")
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
             raise ValueError("nodes and weights must be matching nonempty 1-d arrays")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(weights > 0):
+            raise ValueError(
+                "weights must be positive: a zero-weight node's sample would count as a "
+                "witness in arc_hits_set while adding nothing to curve_average"
+            )
         if np.any(nodes <= 0):
             raise ValueError("nodes must be positive: the arc lies in u > 0")
         powers = nodes ** self.params.beta

@@ -449,6 +449,7 @@ def prospect(
     # later block only sees the cells before the batch's first certified one.
     blocks: dict[int, _Block] = {}
     points: list = []
+    js = tuple(range(1, ladder.depth + 1))
     for flat, xc, yc in _batches(cells, grid, width):
         viol_t = np.empty((len(flat), ladder.depth))
         limit, cert_j = len(flat), 0
@@ -472,7 +473,7 @@ def prospect(
             )
         px, py = (yc, xc) if work.swapped else (xc, yc)
         points.extend(
-            ((x, y), tuple(zip(range(1, ladder.depth + 1), row)))
+            ((x, y), tuple(zip(js, row)))
             for x, y, row in zip(px.tolist(), py.tolist(), viol_t.tolist())
         )
     return ExhaustionReport(ladder=ladder, points=tuple(points), scanned=len(cells))

@@ -1,9 +1,12 @@
 """Machine-readable outputs: certificate/exhaustion JSON, harness JSON, CSV.
 
-Reals in certificate and exhaustion files are decimal strings with 17
-significant digits, which round-trips IEEE doubles bit-for-bit.  Run
-reports carry a config echo, timings, the tool version, and input digests
-so an outcome can be reproduced from the report alone.
+Every JSON file is written compact, on one line (``write_json``).  Reals in
+certificate and exhaustion files are decimal strings with 17 significant
+digits, which round-trips IEEE doubles bit-for-bit.  An exhaustion file
+(schema 2) is columnar: ``x[k]`` and ``y[k]`` are scanned point k and
+``t[j-1][k]`` its violating scale in block j.  Run reports carry a config
+echo, timings, the tool version, and input digests so an outcome can be
+reproduced from the report alone.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .harness import DecompositionReport, SmallTReport, SqSumReport
 from .prospect import BeamCertificate, BeamSample, ExhaustionReport, ScaleLadder
@@ -35,6 +40,7 @@ __all__ = [
 ]
 
 TOOL_VERSION = "0.1.0"
+EXHAUSTION_SCHEMA = 2
 
 
 def encode_real(x: float) -> str:
@@ -94,31 +100,63 @@ def certificate_from_dict(d: dict) -> BeamCertificate:
         raise ValueError(f"certificate JSON does not match schema: {exc}") from exc
 
 
+def _encode_reals(values: np.ndarray) -> list:
+    """``encode_real`` over an array, formatting each distinct bit pattern once.
+
+    Keys are the float64 bits, so 0.0 and -0.0 stay apart and NaN is found.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([encode_real(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse.reshape(values.shape)].tolist()
+
+
 def exhaustion_to_dict(rep: ExhaustionReport) -> dict:
+    depth = rep.ladder.depth
+    if rep.points:
+        points, viols = zip(*rep.points)
+        xy = np.array(points, dtype=np.float64)
+        try:
+            viol = np.array(viols, dtype=np.float64)
+        except ValueError:  # points with different numbers of violations
+            viol = None
+    else:
+        xy, viol = np.empty((0, 2)), np.empty((0, depth, 2))
+    if (viol is None or viol.shape != (len(xy), depth, 2)
+            or not (viol[..., 0] == np.arange(1, depth + 1)).all()):
+        raise ValueError(
+            f"exhaustion columns need every point's violations to be blocks 1..{depth} in order"
+        )
+    text = _encode_reals(np.vstack([xy.T, viol[..., 1].T]))
     return {
+        "schema": EXHAUSTION_SCHEMA,
         "outcome": "exhaustion",
         "ladder": [[encode_real(b), encode_real(c)] for b, c in rep.ladder.entries],
         "scanned": rep.scanned,
-        "points": [
-            {
-                "point": _pt(pt),
-                "violations": [{"j": j, "t": encode_real(t)} for j, t in viol],
-            }
-            for pt, viol in rep.points
-        ],
+        "x": text[0],
+        "y": text[1],
+        "t": text[2:],
     }
 
 
 def exhaustion_from_dict(d: dict) -> ExhaustionReport:
-    ladder = ScaleLadder(tuple((float(b), float(c)) for b, c in d["ladder"]))
-    points = tuple(
-        (
-            (float(p["point"][0]), float(p["point"][1])),
-            tuple((int(v["j"]), float(v["t"])) for v in p["violations"]),
+    schema = d.get("schema")
+    if schema != EXHAUSTION_SCHEMA:
+        raise ValueError(
+            f"exhaustion JSON has schema {schema!r}; only schema {EXHAUSTION_SCHEMA} is read"
         )
-        for p in d["points"]
-    )
-    return ExhaustionReport(ladder=ladder, points=points, scanned=int(d["scanned"]))
+    try:
+        ladder = ScaleLadder(tuple((float(b), float(c)) for b, c in d["ladder"]))
+        if len(d["t"]) != ladder.depth:
+            raise ValueError(f"{len(d['t'])} scale columns for a ladder of depth {ladder.depth}")
+        js = tuple(range(1, ladder.depth + 1))
+        rows = zip(*([float(t) for t in col] for col in d["t"]), strict=True)
+        points = tuple(
+            ((float(x), float(y)), tuple(zip(js, row)))
+            for x, y, row in zip(d["x"], d["y"], rows, strict=True)
+        )
+        return ExhaustionReport(ladder=ladder, points=points, scanned=int(d["scanned"]))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"exhaustion JSON does not match schema {schema}: {exc}") from exc
 
 
 def harness_to_dict(
@@ -237,4 +275,5 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_json(path, obj: dict) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    # Compact separators (no indent) keep json on its C encoder.
+    atomic_write_text(path, json.dumps(obj, separators=(",", ":")) + "\n")

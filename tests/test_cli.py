@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from pinbeam import CurveParams, GridSpec, SamplingConfig, default_ladder, generate_random, prospect
+from pinbeam import reports
 from pinbeam.cli import EXIT_ERROR, EXIT_EXHAUSTION, EXIT_OK, EXIT_VERIFY_FAIL, main
+from pinbeam.constructions import dead_strip_set
 from pinbeam.fields import field_cache
 from pinbeam.harness import HarnessConstants, compute_sq_sums
-from pinbeam.prospect import ResolutionError
-from pinbeam.raster import load_raster, save_raster
+from pinbeam.prospect import ExhaustionReport, ResolutionError
+from pinbeam.raster import axis_swap, load_raster, save_raster
 from pinbeam.reports import (
     RunConfig,
     certificate_from_dict,
@@ -18,6 +20,7 @@ from pinbeam.reports import (
     encode_real,
     exhaustion_from_dict,
     exhaustion_to_dict,
+    write_json,
 )
 
 from conftest import full_square, single_cell
@@ -60,6 +63,74 @@ class TestReportsRoundTrip:
                        SamplingConfig(nodes=32))
         d = json.loads(json.dumps(exhaustion_to_dict(rep)))
         assert exhaustion_from_dict(d) == rep
+
+    @staticmethod
+    def _file_round_trip(rep, path):
+        write_json(path, exhaustion_to_dict(rep))
+        return exhaustion_from_dict(json.loads(path.read_text()))
+
+    def test_dead_strip_exhaustion_file_round_trip(self, tmp_path):
+        params, ladder = CurveParams(2.0, 1.0, 1.05), default_ladder(2)
+        a = dead_strip_set(128, params, ladder, 2)
+        rep = prospect(a, ladder, params, SamplingConfig(nodes=64))
+        assert isinstance(rep, ExhaustionReport) and len(rep.points) == 6144
+        path = tmp_path / "exhaustion.json"
+        assert self._file_round_trip(rep, path) == rep
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+
+    def test_swapped_exhaustion_file_round_trip(self, tmp_path):
+        params, ladder = CurveParams(0.5, 1.0, 1.05**2), default_ladder(2)
+        a = axis_swap(dead_strip_set(128, params.swapped(), ladder, 2))
+        rep = prospect(a, ladder, params, SamplingConfig(nodes=64))
+        assert isinstance(rep, ExhaustionReport) and len(rep.points) == 6144
+        assert self._file_round_trip(rep, tmp_path / "exhaustion.json") == rep
+
+    def test_empty_exhaustion_writes_empty_columns(self, tmp_path):
+        rep = ExhaustionReport(default_ladder(2), (), 0)
+        d = exhaustion_to_dict(rep)
+        assert (d["x"], d["y"], d["t"]) == ([], [], [[], []])
+        assert self._file_round_trip(rep, tmp_path / "exhaustion.json") == rep
+
+    def test_signed_zeros_encode_apart(self):
+        rep = ExhaustionReport(
+            default_ladder(1), (((0.0, -0.0), ((1, 0.375),)), ((-0.0, 0.0), ((1, 0.375),))), 2
+        )
+        d = exhaustion_to_dict(rep)
+        assert d["x"] == ["0", "-0"] and d["y"] == ["-0", "0"]
+        back = exhaustion_from_dict(d)
+        assert [math.copysign(1.0, v) for pt, _ in back.points for v in pt] == [1, -1, -1, 1]
+
+    def test_each_distinct_real_is_formatted_once(self, monkeypatch):
+        params, ladder = CurveParams(2.0, 1.0, 1.05), default_ladder(2)
+        rep = prospect(dead_strip_set(128, params, ladder, 2), ladder, params,
+                       SamplingConfig(nodes=64))
+        calls = []
+        monkeypatch.setattr(reports, "encode_real", lambda x: calls.append(x) or encode_real(x))
+        d = exhaustion_to_dict(rep)
+        reals = [v for pt, viol in rep.points for v in (*pt, *(t for _, t in viol))]
+        distinct = set(np.array(reals).view(np.int64).tolist())
+        assert len(calls) == len(distinct) + 2 * ladder.depth
+        assert len(distinct) < len(reals) // 10
+        assert d["t"][1][7] == encode_real(rep.points[7][1][1][1])
+
+    def test_exhaustion_without_schema_raises(self):
+        rep = ExhaustionReport(default_ladder(1), (((0.5, 0.5), ((1, 0.375),)),), 1)
+        d = exhaustion_to_dict(rep)
+        del d["schema"]
+        with pytest.raises(ValueError, match="schema"):
+            exhaustion_from_dict(d)
+
+    @pytest.mark.parametrize("viol", [
+        ((1, 0.375), (3, 0.0625)),
+        ((1, 0.375), (2, 0.125)),
+        ((2, 0.125), (1, 0.375), (3, 0.0625)),
+    ], ids=["skips-a-block", "short", "out-of-order"])
+    def test_violations_must_be_every_block_in_order(self, viol):
+        full = ((1, 0.375), (2, 0.125), (3, 0.0625))
+        rep = ExhaustionReport(default_ladder(3), (((0.5, 0.5), full), ((0.25, 0.5), viol)), 2)
+        with pytest.raises(ValueError, match="blocks 1..3"):
+            exhaustion_to_dict(rep)
 
     def test_config_round_trip(self):
         cfg = RunConfig(beta=3.0, n=128, rho=0.125)
@@ -135,7 +206,8 @@ class TestProspectCmd:
         assert rc == EXIT_EXHAUSTION
         d = json.loads(out.read_text())
         assert d["outcome"] == "exhaustion"
-        assert len(d["points"]) == 1
+        assert d["schema"] == 2
+        assert len(d["x"]) == 1
 
 
 class TestVerifyCmd:
@@ -230,6 +302,10 @@ class TestBench:
         assert main(["bench", "--n", "64", "--nodes", "32", "--delta", "0.3"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "prospect" in out
+
+    def test_bench_times_the_exhaustion_report(self, capsys):
+        assert main(["bench", "--n", "64", "--nodes", "32", "--delta", "0.3"]) == EXIT_OK
+        assert "exhaustion report" in capsys.readouterr().out
 
 
 class TestReplayability:

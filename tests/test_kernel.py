@@ -96,6 +96,11 @@ class TestCutoff:
         with pytest.raises(ValueError, match="positive"):
             Cutoff(P24, [0.0, 1.5], [0.5, 0.5], 0.5)
 
+    def test_hand_built_weights_must_be_positive(self):
+        # a zero-weight node would be a witness that adds nothing to the average
+        with pytest.raises(ValueError, match="positive"):
+            Cutoff(P24, [0.5, 1.0, 1.5], [0.0, 0.5, 0.5], 0.5)
+
 
 class TestScaleParamMap:
     def test_beta2_direct_powers(self):

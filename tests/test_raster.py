@@ -16,6 +16,7 @@ from pinbeam import (
     measure,
     save_raster,
 )
+from pinbeam import raster as raster_mod
 from pinbeam.raster import cells_of_points, sample_values
 
 from conftest import empty_square, full_square, single_cell
@@ -171,6 +172,25 @@ class TestFileFormat:
         back = load_raster(p)
         assert back.grid == GridSpec(8)
         assert (back.bitmap == a.bitmap).all()
+
+    @pytest.mark.parametrize("window", [GridSpec(8, (1.0, 2.0), 4.0), GridSpec(8)])
+    def test_failed_save_leaves_earlier_raster(self, tmp_path, monkeypatch, window):
+        p = tmp_path / "t.pb"
+        old = RasterSet(GridSpec(8, (-1.0, 0.5), 2.0), np.eye(8, dtype=bool))
+        save_raster(old, p)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["t.meta.json", "t.pb"]
+        before = p.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(raster_mod.os, "replace", refuse)
+        with pytest.raises(OSError, match="refused"):
+            save_raster(RasterSet(window, ~np.eye(8, dtype=bool)), p)
+        monkeypatch.undo()
+        back = load_raster(p)
+        assert p.read_bytes() == before
+        assert back.grid == old.grid and (back.bitmap == old.bitmap).all()
 
     def test_missing_sidecar_defaults_to_unit_window(self, tmp_path):
         p = tmp_path / "t.pb"
