@@ -35,6 +35,7 @@ from .prospect import (
     ExhaustionReport,
     SamplingConfig,
     default_ladder,
+    find_dense_window,
     j_bound,
     prospect,
     verify_certificate,
@@ -312,6 +313,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         write_json(Path(tmp) / "exhaustion.json", exhaustion_to_dict(outcome))
         rows.append(("exhaustion report", time.perf_counter() - t0))
+
+    # The reduce flow's square sums: depth 3, rho = 1/4, every s_hi radius
+    # capped at n - 1; its kernel spectra are built here, not cached.
+    unit = generate_random(GridSpec(1024), cfg.delta, cfg.seed)
+    t0 = time.perf_counter()
+    compute_sq_sums(unit, default_ladder(3), 1, 3, HarnessConstants(tau=0.1, rho=0.25))
+    rows.append(("sq sums N=1024", time.perf_counter() - t0))
+
+    # Only a full window counts, so on a random set both radii are scanned.
+    big = generate_random(GridSpec(2048, side=4.0), cfg.delta, cfg.seed)
+    t0 = time.perf_counter()
+    find_dense_window(big, 1.0, (1.0, 0.5))
+    rows.append(("dense window N=2048", time.perf_counter() - t0))
 
     for name, dt in rows:
         print(f"{name:24s} {dt * 1000:10.1f} ms")

@@ -323,10 +323,11 @@ def compute_sq_sums(
     g = complement_in_window(a)
     p = constants.p
     rho = constants.rho
+    # (s_lo, s_hi, k_j) per block; one call transforms g for every block's scales
+    blocks = [_block_scales(grid, ladder, j, rho)[2:5] for j in range(j0 + 1, j_hi + 1)]
+    smooth = poisson_smooth_multi(g, [s for s_lo, s_hi, _ in blocks for s in (s_lo, s_hi)])
     s1, s2 = [], []
-    for j in range(j0 + 1, j_hi + 1):
-        _, _, s_lo, s_hi, k_j, _ = _block_scales(grid, ladder, j, rho)
-        p_lo, p_hi = poisson_smooth_multi(g, [s_lo, s_hi])
+    for (_, _, k_j), p_lo, p_hi in zip(blocks, smooth[::2], smooth[1::2]):
         eg = martingale_average(g, k_j)
         s1.append(lp_norm(ScalarField(grid, p_hi.values - p_lo.values), p) ** p)
         s2.append(lp_norm(ScalarField(grid, p_lo.values - eg.values), p) ** p)

@@ -575,10 +575,19 @@ class DenseWindowResult:
     ratio: float
 
 
-def _window_counts(bitmap: np.ndarray, m: int) -> np.ndarray:
+def _summed_area(bitmap: np.ndarray) -> np.ndarray:
+    """Integer summed-area table: sat[i, j] counts the set cells of bitmap[:i, :j]."""
     n = bitmap.shape[0]
     sat = np.zeros((n + 1, n + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(bitmap, axis=0), axis=1, out=sat[1:, 1:])
+    np.cumsum(bitmap, axis=1, out=sat[1:, 1:])
+    # Row by row: a cumsum down axis 0 strides across rows and is over 20x slower.
+    for i in range(2, n + 1):
+        np.add(sat[i], sat[i - 1], out=sat[i])
+    return sat
+
+
+def _window_counts(sat: np.ndarray, m: int) -> np.ndarray:
+    """Set cells in every m x m window, from a summed-area table."""
     return sat[m:, m:] - sat[:-m, m:] - sat[m:, :-m] + sat[:-m, :-m]
 
 
@@ -591,12 +600,13 @@ def find_dense_window(big_a: RasterSet, delta: float, r_list) -> DenseWindowResu
     grid = big_a.grid
     h = grid.h
     best = DenseWindowResult(False, 0.0, (math.nan, math.nan), -1.0)
+    sat = _summed_area(big_a.bitmap)
     for r in sorted(r_list, reverse=True):
         m_f = 2.0 * r / h
         m = round(m_f)
         if m < 1 or m > grid.n or abs(m_f - m) > 1e-9:
             raise ValueError(f"window half-side {r} is not resolvable on grid h={h:g}")
-        counts = _window_counts(big_a.bitmap, m)
+        counts = _window_counts(sat, m)
         flat = int(np.argmax(counts))
         iy0, ix0 = divmod(flat, counts.shape[1])
         ratio = counts[iy0, ix0] / (m * m)

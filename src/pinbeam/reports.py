@@ -270,8 +270,12 @@ def sha256_file(path) -> str:
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path, obj: dict) -> None:

@@ -17,6 +17,17 @@ past the last linear one, so no wrapped term lands in the window.  L
 depends on R alone, so a scale smoothed alone and the same scale smoothed
 beside smaller ones give the same bytes.
 
+Pruned passes.  The 2-d transforms run as their two 1-d passes, each over
+only the rows it needs.  Forward (field and kernel alike): a real transform
+along axis 1 of the n (or 2r + 1) rows that hold data, then a complex one
+along axis 0, zero-padded to L.  Inverse: an unscaled complex transform
+along axis 0, then an unscaled real one along axis 1 of the kept rows
+[r, r + n) only, then one multiply by fl(1/L^2), then by h^2.  The bits
+equal rfft2/irfft2 at (L, L): the skipped rows are zeros, which transform
+to exact zeros, or are dropped; pocketfft's own 2-d inverse runs the same
+1-d passes unscaled and applies its factor fl(1/L^2), rounded from long
+double, once, after its last pass.
+
 Threads.  Every transform runs on as many pocketfft threads as the process
 may use.  pocketfft hands whole 1-d transforms to its threads, so the
 thread count changes no bit.
@@ -95,24 +106,33 @@ _kernel_spectra = LRUCache()
 _FFT_WORKERS = len(os.sched_getaffinity(0))
 
 
+def _padded_rfft2(x: np.ndarray, size: int) -> np.ndarray:
+    """sfft.rfft2(x, (size, size)), transforming only the rows x has."""
+    rows = sfft.rfft(x, size, axis=1, workers=_FFT_WORKERS)
+    return sfft.fft(rows, size, axis=0, overwrite_x=True, workers=_FFT_WORKERS)
+
+
 def poisson_smooth_multi(field: ScalarField, scales) -> list[ScalarField]:
     """Poisson-smooth one field at several scales, sharing the field transform."""
     grid = field.grid
     n, h = grid.n, grid.h
     rads = [_kernel_radius(grid, t) for t in scales]
     size = sfft.next_fast_len(n + max(rads))
-    shape = (size, size)
-    f_hat = sfft.rfft2(field.values, shape, workers=_FFT_WORKERS)
+    # The inverse passes run unscaled (norm="forward"); 1/L^2 is applied once,
+    # rounded from long double as pocketfft's own 2-d inverse rounds it.
+    inv_area = float(np.longdouble(1) / np.longdouble(size * size))
+    f_hat = _padded_rfft2(field.values, size)
     prod = np.empty_like(f_hat)
     outs = []
     for t, rad in zip(scales, rads):
         key = (grid.n, grid.origin, grid.side, float(t), size)
-        k_hat = _kernel_spectra.get(
-            key, lambda: sfft.rfft2(poisson_kernel(grid, t), shape, workers=_FFT_WORKERS)
-        )
+        k_hat = _kernel_spectra.get(key, lambda: _padded_rfft2(poisson_kernel(grid, t), size))
         np.multiply(f_hat, k_hat, out=prod)
-        conv = sfft.irfft2(prod, shape, overwrite_x=True, workers=_FFT_WORKERS)
-        outs.append(ScalarField(grid, conv[rad : rad + n, rad : rad + n] * (h * h)))
+        cols = sfft.ifft(prod, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+        conv = sfft.irfft(cols[rad : rad + n], size, axis=1, norm="forward", workers=_FFT_WORKERS)
+        out = conv[:, rad : rad + n] * inv_area
+        out *= h * h
+        outs.append(ScalarField(grid, out))
     return outs
 
 

@@ -132,6 +132,31 @@ class TestReportsRoundTrip:
         with pytest.raises(ValueError, match="blocks 1..3"):
             exhaustion_to_dict(rep)
 
+    @pytest.mark.parametrize("fail_at", ["write", "replace"])
+    def test_failed_atomic_write_leaves_no_temp_file(self, tmp_path, monkeypatch, fail_at):
+        path = tmp_path / "report.json"
+        reports.write_json(path, {"a": 1})
+        before = path.read_bytes()
+
+        write_text = reports.Path.write_text
+
+        def write_part(self, text):
+            write_text(self, text[:2])  # a partial temp file, then a full disk
+            raise OSError("write refused")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        if fail_at == "write":
+            monkeypatch.setattr(reports.Path, "write_text", write_part)
+        else:
+            monkeypatch.setattr(reports.os, "replace", refuse)
+        with pytest.raises(OSError, match="refused"):
+            reports.write_json(path, {"a": 2})
+        monkeypatch.undo()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["report.json"]
+        assert path.read_bytes() == before
+
     def test_config_round_trip(self):
         cfg = RunConfig(beta=3.0, n=128, rho=0.125)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -302,6 +327,8 @@ class TestBench:
         assert main(["bench", "--n", "64", "--nodes", "32", "--delta", "0.3"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "prospect" in out
+        assert "sq sums N=1024" in out
+        assert "dense window N=2048" in out
 
     def test_bench_times_the_exhaustion_report(self, capsys):
         assert main(["bench", "--n", "64", "--nodes", "32", "--delta", "0.3"]) == EXIT_OK

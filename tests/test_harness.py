@@ -21,12 +21,14 @@ from pinbeam import (
     empirical_decay,
     generate_random,
     indicator,
+    lp_norm,
     martingale_average,
     measure,
     pairing,
     support_radius,
 )
 import pinbeam.harness as harness
+import pinbeam.smoothing as smoothing
 from pinbeam.constructions import dead_strip_set
 from pinbeam.fields import extremal_conv_field, field_cache
 from pinbeam.harness import decay_sweep
@@ -284,6 +286,67 @@ class TestSqSums:
         const = HarnessConstants(tau=0.1, rho=0.25)
         with pytest.raises(ValueError):
             compute_sq_sums(full_square(64), default_ladder(2), 2, 2, const)
+
+    def test_one_call_equals_per_block_calls_when_radii_capped(self):
+        # the reduce flow's shape: depth 3, rho = 1/4, every s_hi radius is
+        # n - 1, so every block keeps its transform length and its bytes
+        const = HarnessConstants(tau=0.1, rho=0.25, p=3.0)
+        ladder = default_ladder(3)
+        for n, seed in ((256, 1), (256, 2), (512, 3)):
+            a = generate_random(GridSpec(n), 0.4, seed)
+            assert {s_hi_radius(a.grid, ladder, j, const.rho) for j in (2, 3)} == {n - 1}
+            got = compute_sq_sums(a, ladder, 1, 3, const)
+            assert got == per_block_sq_sums(a, ladder, 1, 3, const)
+            assert repr(got) == repr(per_block_sq_sums(a, ladder, 1, 3, const))
+
+    def test_one_call_within_1e12_when_radii_differ(self):
+        # at N=512, rho = 1/2, block 4's s_hi radius is 400 cells against
+        # block 3's 511: one call transforms block 4 at L = 1024, not 924
+        const = HarnessConstants(tau=0.1, rho=0.5, p=3.0)
+        ladder = default_ladder(4)
+        a = generate_random(GridSpec(512), 0.4, 4)
+        assert [s_hi_radius(a.grid, ladder, j, const.rho) for j in (3, 4)] == [511, 400]
+        got = compute_sq_sums(a, ladder, 2, 4, const)
+        want = per_block_sq_sums(a, ladder, 2, 4, const)
+        assert got.selected_j == want.selected_j and got.j_range == want.j_range
+        for name in ("sum_poisson", "sum_martingale", "pigeonhole_threshold",
+                     "k_poisson", "k_martingale", "per_j_poisson", "per_j_martingale"):
+            for x, y in zip(np.atleast_1d(getattr(got, name)), np.atleast_1d(getattr(want, name))):
+                assert abs(x - y) <= 1e-12 * abs(y), name
+
+
+def s_hi_radius(grid, ladder, j, rho):
+    return smoothing._kernel_radius(grid, harness._block_scales(grid, ladder, j, rho)[3])
+
+
+def per_block_sq_sums(a, ladder, j0, j_hi, constants):
+    """compute_sq_sums as it was: one poisson_smooth_multi call per block."""
+    grid = a.grid
+    g = complement_in_window(a)
+    p, rho = constants.p, constants.rho
+    s1, s2 = [], []
+    for j in range(j0 + 1, j_hi + 1):
+        _, _, s_lo, s_hi, k_j, _ = harness._block_scales(grid, ladder, j, rho)
+        p_lo, p_hi = smoothing.poisson_smooth_multi(g, [s_lo, s_hi])
+        eg = martingale_average(g, k_j)
+        s1.append(lp_norm(ScalarField(grid, p_hi.values - p_lo.values), p) ** p)
+        s2.append(lp_norm(ScalarField(grid, p_lo.values - eg.values), p) ** p)
+    sum1, sum2 = sum(s1), sum(s2)
+    thresh = 2.0 * max(sum1, sum2) / (j_hi - j0)
+    selected = next(
+        j for j, (v1, v2) in enumerate(zip(s1, s2), start=j0 + 1)
+        if v1 <= thresh and v2 <= thresh
+    )
+    g_norm_p = lp_norm(g, p) ** p
+    log_rho_inv = math.log2(1.0 / rho)
+    k1 = sum1 / (log_rho_inv**p * g_norm_p) if g_norm_p > 0 and log_rho_inv > 0 else 0.0
+    k2 = sum2 / g_norm_p if g_norm_p > 0 else 0.0
+    return harness.SqSumReport(
+        j_range=(j0 + 1, j_hi), sum_poisson=sum1, sum_martingale=sum2,
+        per_j_poisson=tuple(s1), per_j_martingale=tuple(s2),
+        selected_j=selected, pigeonhole_threshold=thresh,
+        k_poisson=k1, k_martingale=k2,
+    )
 
 
 @pytest.fixture(scope="module")

@@ -35,9 +35,12 @@ from pinbeam import (
 from pinbeam.constructions import carve_block_arcs, checkerboard, dead_strip_set
 from pinbeam.kernel import support_radius, t_grid
 from pinbeam.prospect import (
+    DenseWindowResult,
     ResolutionError,
     _certificate,
     _hits_matrix,
+    _summed_area,
+    _window_counts,
     _working_system,
     block_hypothesis_holds,
 )
@@ -587,6 +590,61 @@ class TestDenseWindow:
         big = full_square(64)
         res = find_dense_window(big, 0.5, [0.125, 0.25])
         assert res.r == 0.25
+
+
+def double_cumsum_counts(bitmap, m):
+    """Window counts as first built: one table per R from two cumsums."""
+    n = bitmap.shape[0]
+    sat = np.zeros((n + 1, n + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(bitmap, axis=0), axis=1, out=sat[1:, 1:])
+    return sat[m:, m:] - sat[:-m, m:] - sat[m:, :-m] + sat[:-m, :-m]
+
+
+def per_r_dense_window(big_a, delta, r_list):
+    """find_dense_window as it was, rebuilding the table for every R."""
+    grid, h = big_a.grid, big_a.grid.h
+    best = DenseWindowResult(False, 0.0, (math.nan, math.nan), -1.0)
+    for r in sorted(r_list, reverse=True):
+        m = round(2.0 * r / h)
+        counts = double_cumsum_counts(big_a.bitmap, m)
+        iy0, ix0 = divmod(int(np.argmax(counts)), counts.shape[1])
+        ratio = counts[iy0, ix0] / (m * m)
+        center = (grid.origin[0] + (ix0 + m / 2.0) * h, grid.origin[1] + (iy0 + m / 2.0) * h)
+        if ratio >= delta:
+            return DenseWindowResult(True, r, center, float(ratio))
+        if ratio > best.ratio:
+            best = DenseWindowResult(False, r, center, float(ratio))
+    return best
+
+
+class TestSummedAreaTable:
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
+    def test_window_counts_equal_double_cumsum(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.0, 0.3, 0.9):
+            bm = rng.random((n, n)) < density
+            sat = _summed_area(bm)
+            for m in sorted({1, max(1, n // 2), n}):
+                got = _window_counts(sat, m)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, double_cumsum_counts(bm, m))
+
+    def test_miss_then_hit_over_three_radii(self):
+        # side 4, N=64: R = 1, 1/2, 1/4 are windows of 32, 16 and 8 cells;
+        # a solid 16-cell patch in a sparse background misses at R = 1 and
+        # hits at R = 1/2
+        n = 64
+        rng = np.random.default_rng(3)
+        bm = rng.random((n, n)) < 0.1
+        bm[20:36, 37:53] = True
+        big = RasterSet(GridSpec(n, (-2.0, 1.0), 4.0), bm)
+        r_list = [0.25, 1.0, 0.5]
+        res = find_dense_window(big, 0.6, r_list)
+        assert res.found and res.r == 0.5 and res.ratio == 1.0
+        assert res == per_r_dense_window(big, 0.6, r_list)
+        miss = find_dense_window(big, 1.01, r_list)
+        assert not miss.found
+        assert miss == per_r_dense_window(big, 1.01, r_list)
 
 
 class TestNormalizeWindow:

@@ -178,8 +178,9 @@ class TestFileFormat:
         p = tmp_path / "t.pb"
         old = RasterSet(GridSpec(8, (-1.0, 0.5), 2.0), np.eye(8, dtype=bool))
         save_raster(old, p)
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["t.meta.json", "t.pb"]
-        before = p.read_bytes()
+        files = ["t.meta.json", "t.pb"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == files
+        before = {name: (tmp_path / name).read_bytes() for name in files}
 
         def refuse(src, dst):
             raise OSError("replace refused")
@@ -188,8 +189,10 @@ class TestFileFormat:
         with pytest.raises(OSError, match="refused"):
             save_raster(RasterSet(window, ~np.eye(8, dtype=bool)), p)
         monkeypatch.undo()
+        # no temp file is left behind, and both earlier files are untouched
+        assert sorted(f.name for f in tmp_path.iterdir()) == files
+        assert {name: (tmp_path / name).read_bytes() for name in files} == before
         back = load_raster(p)
-        assert p.read_bytes() == before
         assert back.grid == old.grid and (back.bitmap == old.bitmap).all()
 
     def test_missing_sidecar_defaults_to_unit_window(self, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 from scipy.signal import convolve as direct_convolve
 
 from pinbeam import (
@@ -51,6 +53,39 @@ def row_product_convolve(values, ker):
         lo, hi = max(0, -d), min(n, n - d)
         out[lo + d : hi + d] += values[lo:hi] @ padded[d + r][toeplitz]
     return out
+
+
+def irfft2_smooth(field, scales):
+    """poisson_smooth_multi before its transforms were pruned: full 2-d
+    rfft2/irfft2 at L x L, the kept window sliced out afterwards."""
+    grid = field.grid
+    n, h = grid.n, grid.h
+    rads = [smoothing._kernel_radius(grid, t) for t in scales]
+    size = sfft.next_fast_len(n + max(rads))
+    shape = (size, size)
+    workers = smoothing._FFT_WORKERS
+    f_hat = sfft.rfft2(field.values, shape, workers=workers)
+    outs = []
+    for t, rad in zip(scales, rads):
+        k_hat = sfft.rfft2(poisson_kernel(grid, t), shape, workers=workers)
+        conv = sfft.irfft2(f_hat * k_hat, shape, workers=workers)
+        outs.append(conv[rad : rad + n, rad : rad + n] * (h * h))
+    return outs
+
+
+PRUNED_SWEEP_NS = (16, 64, 128, 256)
+
+
+def pruned_sweep_radii(n):
+    """Every radius at n <= 64; every 11th, and n - 1, above."""
+    return range(1, n) if n <= 64 else [*range(1, n, 11), n - 1]
+
+
+def scale_of_radius(grid, rad):
+    """A scale whose kernel radius is exactly rad cells."""
+    t = (rad - 0.5) * grid.h / smoothing.TRUNCATION_FACTOR
+    assert smoothing._kernel_radius(grid, t) == rad
+    return t
 
 
 class TestPoissonKernel:
@@ -212,6 +247,45 @@ class TestPoissonSmooth:
         poisson_smooth_multi(h, scales)
         assert built == scales
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_padded_forward_transform_equals_rfft2(self, n):
+        # rows of zeros transform to exact zeros, so skipping them changes no value
+        g = GridSpec(n)
+        rng = np.random.default_rng(n)
+        inputs = [rng.random((n, n)), (rng.random((n, n)) < 0.3).astype(float)]
+        inputs += [poisson_kernel(g, scale_of_radius(g, rad)) for rad in (1, n // 3, n - 1)]
+        for x in inputs:
+            for size in {sfft.next_fast_len(n + r) for r in (1, n // 3, n - 1)}:
+                size = max(size, x.shape[0])
+                got = smoothing._padded_rfft2(x, size)
+                assert got.shape == (size, size // 2 + 1)
+                assert (got == sfft.rfft2(x, (size, size))).all()
+
+    @pytest.mark.parametrize("n", PRUNED_SWEEP_NS)
+    def test_pruned_transforms_equal_full_2d_path(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        fields = {"bits": (rng.random((n, n)) < 0.4).astype(float), "real": rng.random((n, n))}
+        for side, (kind, values), workers in itertools.product(
+            (1.0, 4.0), fields.items(), (1, 2)
+        ):
+            monkeypatch.setattr(smoothing, "_FFT_WORKERS", workers)
+            field = ScalarField(GridSpec(n, side=side), values)
+            for rad in pruned_sweep_radii(n):
+                scales = [scale_of_radius(field.grid, r) for r in (rad, max(1, rad // 3))]
+                smoothing._kernel_spectra.clear()
+                got = poisson_smooth_multi(field, scales)
+                for a, b in zip(got, irfft2_smooth(field, scales)):
+                    assert (a.values == b).all(), (side, kind, workers, rad)
+
+    def test_pruned_sweep_covers_fifty_odd_lengths(self):
+        odd = {
+            size
+            for n in PRUNED_SWEEP_NS
+            for size in (sfft.next_fast_len(n + rad) for rad in pruned_sweep_radii(n))
+            if size & (size - 1)
+        }
+        assert len(odd) >= 50
+
     def test_multi_matches_single(self):
         h = rand_field(64, 9)
         a, b = poisson_smooth_multi(h, [0.05, 0.2])
@@ -237,9 +311,9 @@ def test_import_leaves_scipy_signal_unloaded():
 
 
 def test_smoothing_peak_memory_at_n1024():
-    # a kernel spanning the window (rad = n - 1) at N=1024: the (n + rad)
-    # transform peaks near 230 MB in a fresh interpreter, the old n + 2 rad
-    # one near 430 MB
+    # a kernel spanning the window (rad = n - 1) at N=1024: the pruned
+    # (n + rad) transforms peak near 195 MB in a fresh interpreter, full 2-d
+    # ones near 225 MB, and the old n + 2 rad length near 430 MB
     src = Path(__file__).resolve().parents[1] / "src"
     # VmHWM, not ru_maxrss: Linux carries the parent's peak into a child's
     # ru_maxrss across exec, so under pytest it reads the test process's peak
