@@ -32,7 +32,6 @@ from .harness import (
 from .kernel import CurveParams, build_cutoff, curve_average, validate_params
 from .prospect import (
     BeamCertificate,
-    ExhaustionReport,
     SamplingConfig,
     default_ladder,
     find_dense_window,
@@ -88,7 +87,16 @@ def _add_config_args(sp: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
-        cfg = RunConfig.from_dict({**cfg.to_dict(), **json.loads(args.config.read_text())})
+        file_cfg, defaults = json.loads(args.config.read_text()), cfg.to_dict()
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config {args.config}: expected a JSON object, got {file_cfg!r}")
+        for name, typ in _CONFIG_FLAGS:
+            value = file_cfg.get(name)
+            # JSON ints are accepted as reals; bool is not an int here.
+            ok = type(value) in ((int, float) if typ is float else (typ,))
+            if name in file_cfg and not (ok or value is None and defaults[name] is None):
+                raise ValueError(f"config key {name!r} must be {typ.__name__}, got {value!r}")
+        cfg = RunConfig.from_dict({**defaults, **file_cfg})
     overrides = {
         name: getattr(args, name)
         for name, _ in _CONFIG_FLAGS
@@ -158,19 +166,18 @@ def _cmd_prospect(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - t0
 
     out_path = Path(args.out)
+    certified = isinstance(outcome, BeamCertificate)
     report = RunReport(
         config=cfg,
-        outcome="certificate" if isinstance(outcome, BeamCertificate) else "exhaustion",
+        outcome="certificate" if certified else "exhaustion",
         timings={"prospect_s": elapsed},
         input_digests={str(args.input): sha256_file(args.input)},
     )
-    if isinstance(outcome, BeamCertificate):
-        write_json(out_path, certificate_to_dict(outcome))
-        write_json(out_path.with_name(out_path.name + ".run.json"), report.to_dict())
+    write_json(out_path, certificate_to_dict(outcome) if certified else exhaustion_to_dict(outcome))
+    write_json(out_path.with_name(out_path.name + ".run.json"), report.to_dict())
+    if certified:
         print(f"certificate: point={outcome.point} j={outcome.j} a_interval={outcome.a_interval}")
         return EXIT_OK
-    write_json(out_path, exhaustion_to_dict(outcome))
-    write_json(out_path.with_name(out_path.name + ".run.json"), report.to_dict())
     print(f"exhaustion: no beam over {outcome.scanned} scanned points")
     return EXIT_EXHAUSTION
 
@@ -191,11 +198,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _admissible_blocks(constants: HarnessConstants, params: CurveParams,
                        grid: GridSpec, depth: int = 8) -> list[int]:
     j0 = compute_j0(constants.tau, params)
-    out = []
-    for j in range(j0 + 1, depth + 1):
-        if constants.rho * 2.0 ** (-2 * j) >= grid.h:
-            out.append(j)
-    return out
+    return [j for j in range(j0 + 1, depth + 1) if constants.rho * 2.0 ** (-2 * j) >= grid.h]
 
 
 def _cmd_harness(args: argparse.Namespace) -> int:

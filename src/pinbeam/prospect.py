@@ -17,15 +17,17 @@ a shortcut, kept exact by a tie guard: a scale with some 1/2 + (t / h) u or
 1/2 + (t / h) u^beta within rounding distance of an integer (a sample on or
 next to a cell edge, the window's far edge among them) is looked up through
 ``cells_of_points`` instead.  The scan's outcome is therefore the one that
-per-point lookups give, bit for bit.  The same scan answers the
-decomposition's block hypothesis (every set point has a block scale whose
-arc misses the set).
+per-point lookups give, bit for bit.  Without a certificate, the scan's
+centres and violating scales fill the exhaustion file's columns directly
+(``ExhaustionReport``).  The same scan answers the decomposition's block
+hypothesis (every set point has a block scale whose arc misses the set).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -204,11 +206,27 @@ class BeamCertificate:
 
 @dataclass(frozen=True)
 class ExhaustionReport:
-    """Per scanned point, one violating scale per block: no beam was found."""
+    """Per scanned point, one violating scale per block: no beam was found.
+
+    The exhaustion file's columns: point k is (x[k], y[k]), ``t[j-1][k]`` its
+    violating scale in block j.  ``points`` is a cached read-only nested view.
+    """
 
     ladder: ScaleLadder
-    points: tuple[tuple[tuple[float, float], tuple[tuple[int, float], ...]], ...]
+    x: tuple[float, ...]
+    y: tuple[float, ...]
+    t: tuple[tuple[float, ...], ...]
     scanned: int
+
+    def __post_init__(self):
+        lengths = [len(col) for col in (self.x, self.y, *self.t)]
+        if len(self.t) != self.ladder.depth or len(set(lengths)) != 1:
+            raise ValueError(f"need x, y and {self.ladder.depth} t columns, one length: {lengths}")
+
+    @cached_property
+    def points(self) -> tuple[tuple[tuple[float, float], tuple[tuple[int, float], ...]], ...]:
+        js = range(1, self.ladder.depth + 1)
+        return tuple(((x, y), tuple(zip(js, row))) for x, y, *row in zip(self.x, self.y, *self.t))
 
 
 @dataclass(frozen=True)
@@ -433,8 +451,8 @@ def prospect(
 
     Scans set cells in row-major order and blocks in ascending j; returns a
     certificate for the first (point, j) such that every scale sample in
-    [c_j, b_j] has a witness, else an exhaustion report listing one
-    violating scale per (point, block).
+    [c_j, b_j] has a witness, else an exhaustion report whose columns hold
+    each scanned point and its violating scale per block.
     """
     if a.cell_count == 0:
         raise ValueError("cannot prospect an empty set")
@@ -448,10 +466,10 @@ def prospect(
     # Batches double from one cell, so an early certificate costs little; a
     # later block only sees the cells before the batch's first certified one.
     blocks: dict[int, _Block] = {}
-    points: list = []
-    js = tuple(range(1, ladder.depth + 1))
+    xs, ys = np.empty(len(cells)), np.empty(len(cells))
+    t_cols = np.empty((ladder.depth, len(cells)))
+    done = 0
     for flat, xc, yc in _batches(cells, grid, width):
-        viol_t = np.empty((len(flat), ladder.depth))
         limit, cert_j = len(flat), 0
         for j in range(1, ladder.depth + 1):
             if limit == 0:
@@ -463,7 +481,7 @@ def prospect(
             passed = miss == len(blk.ts)
             if passed.any():
                 limit, cert_j = int(passed.argmax()), j
-            viol_t[:limit, j - 1] = blk.ts[miss[:limit]]
+            t_cols[j - 1, done : done + limit] = blk.ts[miss[:limit]]
         if cert_j:
             blk = blocks[cert_j]
             hits = _hits_matrix(work.raster, xc[limit], yc[limit], blk.ox, blk.oy)
@@ -471,12 +489,12 @@ def prospect(
                 params, work.swapped, xc[limit], yc[limit], cert_j, blk.ts, blk.ox, blk.oy,
                 blk.ratio, hits,
             )
-        px, py = (yc, xc) if work.swapped else (xc, yc)
-        points.extend(
-            ((x, y), tuple(zip(js, row)))
-            for x, y, row in zip(px.tolist(), py.tolist(), viol_t.tolist())
-        )
-    return ExhaustionReport(ladder=ladder, points=tuple(points), scanned=len(cells))
+        xs[done : done + len(flat)], ys[done : done + len(flat)] = xc, yc
+        done += len(flat)
+    if work.swapped:
+        xs, ys = ys, xs
+    t = tuple(map(tuple, t_cols.tolist()))
+    return ExhaustionReport(ladder, tuple(xs.tolist()), tuple(ys.tolist()), t, len(cells))
 
 
 def block_hypothesis_holds(

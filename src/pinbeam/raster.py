@@ -279,5 +279,13 @@ def load_raster(path) -> RasterSet:
     sidecar = _sidecar_path(path)
     if sidecar.exists():
         meta = json.loads(sidecar.read_text())
-        grid = GridSpec(n, tuple(meta["window_origin"]), meta["window_side"])
+        if not isinstance(meta, dict):
+            raise ValueError(f"sidecar {sidecar}: expected a JSON object, got {meta!r}")
+        origin, side = meta.get("window_origin"), meta.get("window_side")
+        if not (isinstance(origin, list) and len(origin) == 2
+                and all(type(v) in (int, float) for v in origin)):
+            raise ValueError(f"sidecar {sidecar}: window_origin must be [x, y], got {origin!r}")
+        if type(side) not in (int, float):
+            raise ValueError(f"sidecar {sidecar}: window_side must be a number, got {side!r}")
+        grid = GridSpec(n, tuple(origin), side)
     return RasterSet(grid, bitmap)

@@ -3,10 +3,10 @@
 Every JSON file is written compact, on one line (``write_json``).  Reals in
 certificate and exhaustion files are decimal strings with 17 significant
 digits, which round-trips IEEE doubles bit-for-bit.  An exhaustion file
-(schema 2) is columnar: ``x[k]`` and ``y[k]`` are scanned point k and
-``t[j-1][k]`` its violating scale in block j.  Run reports carry a config
-echo, timings, the tool version, and input digests so an outcome can be
-reproduced from the report alone.
+(schema 2) holds the columns of ``ExhaustionReport`` as they stand: point
+k is (``x[k]``, ``y[k]``) and ``t[j-1][k]`` its violating scale in block j.
+Run reports carry a config echo, timings, the tool version, and input
+digests so an outcome can be reproduced from the report alone.
 """
 
 from __future__ import annotations
@@ -111,22 +111,7 @@ def _encode_reals(values: np.ndarray) -> list:
 
 
 def exhaustion_to_dict(rep: ExhaustionReport) -> dict:
-    depth = rep.ladder.depth
-    if rep.points:
-        points, viols = zip(*rep.points)
-        xy = np.array(points, dtype=np.float64)
-        try:
-            viol = np.array(viols, dtype=np.float64)
-        except ValueError:  # points with different numbers of violations
-            viol = None
-    else:
-        xy, viol = np.empty((0, 2)), np.empty((0, depth, 2))
-    if (viol is None or viol.shape != (len(xy), depth, 2)
-            or not (viol[..., 0] == np.arange(1, depth + 1)).all()):
-        raise ValueError(
-            f"exhaustion columns need every point's violations to be blocks 1..{depth} in order"
-        )
-    text = _encode_reals(np.vstack([xy.T, viol[..., 1].T]))
+    text = _encode_reals(np.array([rep.x, rep.y, *rep.t], dtype=np.float64))
     return {
         "schema": EXHAUSTION_SCHEMA,
         "outcome": "exhaustion",
@@ -139,22 +124,15 @@ def exhaustion_to_dict(rep: ExhaustionReport) -> dict:
 
 
 def exhaustion_from_dict(d: dict) -> ExhaustionReport:
-    schema = d.get("schema")
+    schema = d.get("schema") if isinstance(d, dict) else None
     if schema != EXHAUSTION_SCHEMA:
         raise ValueError(
             f"exhaustion JSON has schema {schema!r}; only schema {EXHAUSTION_SCHEMA} is read"
         )
     try:
         ladder = ScaleLadder(tuple((float(b), float(c)) for b, c in d["ladder"]))
-        if len(d["t"]) != ladder.depth:
-            raise ValueError(f"{len(d['t'])} scale columns for a ladder of depth {ladder.depth}")
-        js = tuple(range(1, ladder.depth + 1))
-        rows = zip(*([float(t) for t in col] for col in d["t"]), strict=True)
-        points = tuple(
-            ((float(x), float(y)), tuple(zip(js, row)))
-            for x, y, row in zip(d["x"], d["y"], rows, strict=True)
-        )
-        return ExhaustionReport(ladder=ladder, points=points, scanned=int(d["scanned"]))
+        x, y, *t = (tuple(map(float, col)) for col in (d["x"], d["y"], *d["t"]))
+        return ExhaustionReport(ladder, x, y, tuple(t), int(d["scanned"]))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"exhaustion JSON does not match schema {schema}: {exc}") from exc
 
@@ -233,8 +211,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+        extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         return cls(**d)
@@ -252,13 +229,7 @@ class RunReport:
     version: str = TOOL_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "outcome": self.outcome,
-            "timings": self.timings,
-            "input_digests": self.input_digests,
-            "version": self.version,
-        }
+        return asdict(self)
 
 
 def sha256_file(path) -> str:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -87,19 +88,17 @@ class TestReportsRoundTrip:
         assert self._file_round_trip(rep, tmp_path / "exhaustion.json") == rep
 
     def test_empty_exhaustion_writes_empty_columns(self, tmp_path):
-        rep = ExhaustionReport(default_ladder(2), (), 0)
+        rep = ExhaustionReport(default_ladder(2), (), (), ((), ()), 0)
         d = exhaustion_to_dict(rep)
         assert (d["x"], d["y"], d["t"]) == ([], [], [[], []])
         assert self._file_round_trip(rep, tmp_path / "exhaustion.json") == rep
 
     def test_signed_zeros_encode_apart(self):
-        rep = ExhaustionReport(
-            default_ladder(1), (((0.0, -0.0), ((1, 0.375),)), ((-0.0, 0.0), ((1, 0.375),))), 2
-        )
+        rep = ExhaustionReport(default_ladder(1), (0.0, -0.0), (-0.0, 0.0), ((0.375, 0.375),), 2)
         d = exhaustion_to_dict(rep)
         assert d["x"] == ["0", "-0"] and d["y"] == ["-0", "0"]
         back = exhaustion_from_dict(d)
-        assert [math.copysign(1.0, v) for pt, _ in back.points for v in pt] == [1, -1, -1, 1]
+        assert [math.copysign(1.0, v) for v in back.x + back.y] == [1, -1, -1, 1]
 
     def test_each_distinct_real_is_formatted_once(self, monkeypatch):
         params, ladder = CurveParams(2.0, 1.0, 1.05), default_ladder(2)
@@ -108,29 +107,60 @@ class TestReportsRoundTrip:
         calls = []
         monkeypatch.setattr(reports, "encode_real", lambda x: calls.append(x) or encode_real(x))
         d = exhaustion_to_dict(rep)
-        reals = [v for pt, viol in rep.points for v in (*pt, *(t for _, t in viol))]
+        reals = [v for col in (rep.x, rep.y, *rep.t) for v in col]
         distinct = set(np.array(reals).view(np.int64).tolist())
         assert len(calls) == len(distinct) + 2 * ladder.depth
         assert len(distinct) < len(reals) // 10
-        assert d["t"][1][7] == encode_real(rep.points[7][1][1][1])
+        assert d["t"][1][7] == encode_real(rep.t[1][7])
 
     def test_exhaustion_without_schema_raises(self):
-        rep = ExhaustionReport(default_ladder(1), (((0.5, 0.5), ((1, 0.375),)),), 1)
+        rep = ExhaustionReport(default_ladder(1), (0.5,), (0.5,), ((0.375,),), 1)
         d = exhaustion_to_dict(rep)
         del d["schema"]
         with pytest.raises(ValueError, match="schema"):
             exhaustion_from_dict(d)
 
-    @pytest.mark.parametrize("viol", [
-        ((1, 0.375), (3, 0.0625)),
-        ((1, 0.375), (2, 0.125)),
-        ((2, 0.125), (1, 0.375), (3, 0.0625)),
-    ], ids=["skips-a-block", "short", "out-of-order"])
-    def test_violations_must_be_every_block_in_order(self, viol):
-        full = ((1, 0.375), (2, 0.125), (3, 0.0625))
-        rep = ExhaustionReport(default_ladder(3), (((0.5, 0.5), full), ((0.25, 0.5), viol)), 2)
-        with pytest.raises(ValueError, match="blocks 1..3"):
-            exhaustion_to_dict(rep)
+    def test_non_object_exhaustion_json_raises(self):
+        with pytest.raises(ValueError, match="schema None"):
+            exhaustion_from_dict([{"schema": 2}])
+
+    @pytest.mark.parametrize("y,t", [
+        ((0.5, 0.5), ((0.375, 0.375), (0.125, 0.125), (0.0625,))),
+        ((0.5,), ((0.375, 0.375), (0.125, 0.125), (0.0625, 0.0625))),
+        ((0.5, 0.5), ((0.375, 0.375), (0.125, 0.125))),
+        ((0.5, 0.5), ((0.375, 0.375), (0.125, 0.125), (0.0625, 0.0625), (0.03, 0.03))),
+    ], ids=["short-column", "short-y", "too-few-columns", "too-many-columns"])
+    def test_columns_must_fit_the_ladder(self, y, t):
+        with pytest.raises(ValueError, match="3 t columns, one length"):
+            ExhaustionReport(default_ladder(3), (0.5, 0.25), y, t, 2)
+
+    @pytest.mark.parametrize("column", ["x", "y", "t"])
+    def test_ragged_exhaustion_file_raises_schema_error(self, column):
+        rep = ExhaustionReport(default_ladder(2), (0.5, 0.25), (0.5, 0.5),
+                               ((0.375, 0.375), (0.125, 0.125)), 2)
+        d = exhaustion_to_dict(rep)
+        if column == "t":
+            d["t"][1].pop()
+        else:
+            d[column].pop()
+        with pytest.raises(ValueError, match="does not match schema 2"):
+            exhaustion_from_dict(d)
+
+    def test_points_view_is_the_nested_form(self):
+        # sha256 of repr(points) for this report, as the scan built it when
+        # the report stored nested per-point tuples
+        params, ladder = CurveParams(2.0, 1.0, 1.05), default_ladder(2)
+        rep = prospect(dead_strip_set(128, params, ladder, 2), ladder, params,
+                       SamplingConfig(nodes=64))
+        assert rep.points[0] == ((0.04296875, 0.00390625),
+                                 ((1, 0.2698620694398723), (2, 0.08246924442330589)))
+        digest = hashlib.sha256(repr(rep.points).encode()).hexdigest()
+        assert digest == "363df97d0a255e41033699a42f9489f5131cdba29e9ec3c9dc8a808d4dda0922"
+        with pytest.raises(AttributeError):
+            rep.points = ()
+        # built once and kept; equality still compares the columns only
+        assert rep.points is rep.points
+        assert exhaustion_from_dict(exhaustion_to_dict(rep)) == rep
 
     @pytest.mark.parametrize("fail_at", ["write", "replace"])
     def test_failed_atomic_write_leaves_no_temp_file(self, tmp_path, monkeypatch, fail_at):
@@ -233,6 +263,66 @@ class TestProspectCmd:
         assert d["outcome"] == "exhaustion"
         assert d["schema"] == 2
         assert len(d["x"]) == 1
+
+
+class TestMalformedInputs:
+    """Malformed sidecars and config files end in one error line and exit 1."""
+
+    @staticmethod
+    def _prospect(tmp_path, *extra):
+        raster = tmp_path / "a.pb"
+        if not raster.exists():
+            save_raster(single_cell(64, 5, 5), raster)
+        return main(["prospect", "--input", str(raster), "--out", str(tmp_path / "c.json"),
+                     "--nodes", "32", "--ladder-depth", "1", *extra])
+
+    @pytest.mark.parametrize("meta,key", [
+        ({"window_side": 1.0}, "window_origin"),
+        ({"window_origin": [0.0, 0.0]}, "window_side"),
+        ([[0.0, 0.0], 1.0], "JSON object"),
+        ({"window_origin": [0.0], "window_side": 1.0}, "window_origin"),
+        ({"window_origin": 0.5, "window_side": 1.0}, "window_origin"),
+        ({"window_origin": [0.0, "0"], "window_side": 1.0}, "window_origin"),
+        ({"window_origin": [0.0, 0.0], "window_side": "1"}, "window_side"),
+        ({"window_origin": [0.0, 0.0], "window_side": True}, "window_side"),
+    ], ids=["no-origin", "no-side", "non-object", "short-origin", "scalar-origin",
+            "string-in-origin", "string-side", "bool-side"])
+    def test_malformed_sidecar(self, tmp_path, capsys, meta, key):
+        save_raster(single_cell(64, 5, 5), tmp_path / "a.pb")
+        sidecar = tmp_path / "a.meta.json"
+        sidecar.write_text(json.dumps(meta))
+        assert self._prospect(tmp_path) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sidecar {sidecar}: ") and key in err
+        assert err.count("\n") == 1 and not (tmp_path / "c.json").exists()
+
+    def test_well_formed_sidecar_with_int_reals_loads(self, tmp_path):
+        save_raster(single_cell(64, 5, 5), tmp_path / "a.pb")
+        (tmp_path / "a.meta.json").write_text('{"window_origin": [1, -2], "window_side": 2}')
+        assert load_raster(tmp_path / "a.pb").grid == GridSpec(64, (1.0, -2.0), 2.0)
+
+    @pytest.mark.parametrize("body,key", [
+        ([1], "JSON object"),
+        ({"n": "x"}, "'n' must be int"),
+        ({"n": True}, "'n' must be int"),
+        ({"seed": 1.5}, "'seed' must be int"),
+        ({"theta": "2.4"}, "'theta' must be float"),
+        ({"outdir": None}, "'outdir' must be str"),
+    ], ids=["non-object", "string-int", "bool-int", "real-int", "string-real", "null-str"])
+    def test_malformed_config(self, tmp_path, capsys, body, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        assert self._prospect(tmp_path, "--config", str(cfg)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and key in err and err.count("\n") == 1
+        assert not (tmp_path / "c.json").exists()
+
+    def test_config_takes_ints_for_reals_and_null_where_default_is_null(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": 2, "rho": None, "subsample": None, "seed": 4}))
+        assert self._prospect(tmp_path, "--config", str(cfg)) == EXIT_EXHAUSTION
+        echo = json.loads((tmp_path / "c.json.run.json").read_text())["config"]
+        assert (echo["tau"], echo["rho"], echo["subsample"], echo["seed"]) == (2, None, None, 4)
 
 
 class TestVerifyCmd:

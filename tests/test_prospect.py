@@ -326,20 +326,20 @@ def reference_prospect(a, ladder, params, sampling=SamplingConfig()):
         cells = cells[np.sort(keep)]
     h = grid.h
     x0, y0 = grid.origin
-    exhaustion = []
+    xs, ys, t_cols = [], [], [[] for _ in tables]
     for iy, ix in cells:
         xc = x0 + (ix + 0.5) * h
         yc = y0 + (iy + 0.5) * h
-        violations = []
         for j, (ts, ox, oy, ratio) in enumerate(tables, start=1):
             hits = _hits_matrix(work.raster, xc, yc, ox, oy)
             ok_t = hits.any(axis=1)
             if ok_t.all():
                 return _certificate(params, work.swapped, xc, yc, j, ts, ox, oy, ratio, hits)
-            violations.append((j, float(ts[int(ok_t.argmin())])))
+            t_cols[j - 1].append(float(ts[int(ok_t.argmin())]))
         point = (yc, xc) if work.swapped else (xc, yc)
-        exhaustion.append(((float(point[0]), float(point[1])), tuple(violations)))
-    return ExhaustionReport(ladder=ladder, points=tuple(exhaustion), scanned=len(cells))
+        xs.append(float(point[0]))
+        ys.append(float(point[1]))
+    return ExhaustionReport(ladder, tuple(xs), tuple(ys), tuple(map(tuple, t_cols)), len(cells))
 
 
 def _plant_beam(bm, grid, ix, iy, ladder, j, cut):
