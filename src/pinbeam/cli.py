@@ -87,7 +87,11 @@ def _add_config_args(sp: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
-        file_cfg, defaults = json.loads(args.config.read_text()), cfg.to_dict()
+        try:
+            file_cfg = json.loads(args.config.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {args.config}: not valid JSON: {exc}") from None
+        defaults = cfg.to_dict()
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config {args.config}: expected a JSON object, got {file_cfg!r}")
         for name, typ in _CONFIG_FLAGS:

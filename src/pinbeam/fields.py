@@ -2,10 +2,13 @@
 
 Evaluating the averaging operator at every cell center reduces to summing
 integer-shifted copies of the input: a sample offset (t*u, t*u^beta) moves
-every cell center by the same whole number of cells.  For each scale the
-node shifts are grouped (summing weights of nodes that share a cell shift),
-and the engine accumulates one weighted shifted copy per group, then folds
-the scale's average into a running per-cell extremum.
+every cell center by the same whole number of cells.  For each scale, nodes
+that share a cell shift form one group weighted by their summed weights, and
+the engine accumulates one weighted shifted copy per group, then folds the
+scale's average into a running per-cell extremum.  A Cutoff's nodes ascend,
+and so do their powers, so a scale's groups are runs of adjacent nodes and
+come in (dx, dy) order: one pass marks where runs start, and one bincount
+sums each run's weights in node order.
 
 The engine adds each group with one BLAS daxpy.  Each call copies q once
 into a zero-padded buffer whose rows are widened by the largest column
@@ -39,9 +42,7 @@ dtype and bytes of q, of base (None is hashed apart from an array of
 zeros), of the cutoff's nodes and weights, and of the scale grid ts.  Those
 are all the engine reads, and the engine is deterministic on a given
 machine, so a stored field is the field a fresh run would return; a hit
-returns a copy, so callers may mutate what they get.  The shift table,
-which depends only on the grid, the cutoff and ts, is likewise built once
-per (grid, cutoff, ts) and stored with read-only arrays.
+returns a copy, so callers may mutate what they get.
 
 The size 6 covers the harness flow of one block at two values of rho: the
 small-scale check computes the deviation field D(rho) for both values, then
@@ -64,16 +65,10 @@ from .raster import GridSpec
 
 __all__ = ["extremal_conv_field", "field_cache", "shift_table"]
 
-MODE_MAX = 0
-MODE_ABSMAX = 1
-
-_MODES = {"max": MODE_MAX, "absmax": MODE_ABSMAX}
-
 # Fields kept for reuse; the module docstring says where 6 comes from.
 FIELD_CACHE_SIZE = 6
 
 field_cache = LRUCache(FIELD_CACHE_SIZE)
-_shift_tables = LRUCache(4)
 
 
 def shift_table(cutoff: Cutoff, grid: GridSpec, ts: np.ndarray):
@@ -83,29 +78,22 @@ def shift_table(cutoff: Cutoff, grid: GridSpec, ts: np.ndarray):
     groups of scale k occupy slice tptr[k]:tptr[k+1], sorted by (dx, dy).
     Weights of nodes falling in the same cell are summed in node order.
     """
-    ts = np.asarray(ts, dtype=np.float64)
-    m = cutoff.nodes.shape[0]
-    fx, fy = cell_shifts(cutoff, ts, grid.h)
-    key = np.stack(
-        [
-            np.repeat(np.arange(ts.shape[0], dtype=np.int64), m),
-            np.floor(fx).astype(np.int64).ravel(),
-            np.floor(fy).astype(np.int64).ravel(),
-        ],
-        axis=1,
-    )
-    uniq, inv = np.unique(key, axis=0, return_inverse=True)
-    w = np.bincount(inv.ravel(), weights=np.tile(cutoff.weights, ts.shape[0]), minlength=uniq.shape[0])
-    tptr = np.searchsorted(uniq[:, 0], np.arange(ts.shape[0] + 1))
-    return np.ascontiguousarray(uniq[:, 1]), np.ascontiguousarray(uniq[:, 2]), w, tptr
+    sx, sy = (np.floor(f).astype(np.int64) for f in cell_shifts(cutoff, ts, grid.h))
+    # A node starts a run unless it shares its scale's previous node's shift.
+    first = np.ones(sx.shape, dtype=bool)
+    first[:, 1:] = (sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1])
+    w = np.bincount(np.cumsum(first.ravel()) - 1, weights=np.tile(cutoff.weights, sx.shape[0]))
+    tptr = np.concatenate([[0], np.cumsum(first.sum(axis=1))])
+    return sx[first], sy[first], w, tptr
 
 
-def _extremal(q, dx, dy, w, tptr, base, mode, out):
+def _extremal(q, dx, dy, w, tptr, base, absolute, out):
     """Fill out with the per-cell extremum over scales.
 
     Group g adds w[g] * q[r + dy[g], c + dx[g]] to cell (r, c).  `base` may
-    be None (subtracting zero changes no value).  Groups whose shift is at
-    least the window size in either direction are skipped.
+    be None (subtracting zero changes no value).  With `absolute` the
+    extremum is of |average - base|.  Groups whose shift is at least the
+    window size in either direction are skipped.
     """
     # Loaded on the first run, not at import: scipy.linalg would add about
     # 6 MB of memory and 0.1 s of start-up (x86-64, scipy 1.17) to every
@@ -137,7 +125,7 @@ def _extremal(q, dx, dy, w, tptr, base, mode, out):
             daxpy(qf, acc, n=(n - abs(sy)) * width, a=wg, offx=(r0 + sy) * width + sx, offy=r0 * width)
         if base is not None:
             np.subtract(acc, b, out=acc)
-        if mode == MODE_ABSMAX:
+        if absolute:
             np.abs(acc, out=acc)
         if k == 0:
             ext[:] = acc
@@ -153,13 +141,6 @@ def _feed(hsh, arr: np.ndarray | None) -> None:
         return
     hsh.update(f"array {arr.shape} {arr.dtype.str};".encode())
     hsh.update(memoryview(np.ascontiguousarray(arr)).cast("B"))
-
-
-def _read_only_table(cutoff: Cutoff, grid: GridSpec, ts: np.ndarray):
-    table = shift_table(cutoff, grid, ts)
-    for arr in table:
-        arr.setflags(write=False)
-    return table
 
 
 def extremal_conv_field(
@@ -188,20 +169,15 @@ def extremal_conv_field(
     q = np.ascontiguousarray(q, dtype=np.float64)
     if base is not None:
         base = np.ascontiguousarray(base, dtype=np.float64)
-    mode_id = _MODES[mode]
+    if mode not in ("max", "absmax"):
+        raise ValueError(f"mode must be 'max' or 'absmax', got {mode!r}")
     hsh = hashlib.blake2b(digest_size=16)
-    for arr in (cutoff.nodes, cutoff.weights, ts):
-        _feed(hsh, arr)
-    table_key = (grid, cutoff.params, hsh.digest())
-    for arr in (q, base):
+    for arr in (cutoff.nodes, cutoff.weights, ts, q, base):
         _feed(hsh, arr)
 
     def compute():
-        dx, dy, w, tptr = _shift_tables.get(
-            table_key, lambda: _read_only_table(cutoff, grid, ts)
-        )
         out = np.empty_like(q)
-        _extremal(q, dx, dy, w, tptr, base, mode_id, out)
+        _extremal(q, *shift_table(cutoff, grid, ts), base, mode == "absmax", out)
         out.setflags(write=False)
         return out
 

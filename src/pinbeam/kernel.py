@@ -178,6 +178,8 @@ class Cutoff:
             )
         if np.any(nodes <= 0):
             raise ValueError("nodes must be positive: the arc lies in u > 0")
+        if np.any(np.diff(nodes) <= 0):
+            raise ValueError("nodes must ascend: equal cell shifts are grouped as runs of nodes")
         powers = nodes ** self.params.beta
         for arr in (nodes, weights, powers):
             arr.setflags(write=False)

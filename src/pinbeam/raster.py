@@ -278,7 +278,10 @@ def load_raster(path) -> RasterSet:
     grid = GridSpec(n)
     sidecar = _sidecar_path(path)
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
+        try:
+            meta = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"sidecar {sidecar}: not valid JSON: {exc}") from None
         if not isinstance(meta, dict):
             raise ValueError(f"sidecar {sidecar}: expected a JSON object, got {meta!r}")
         origin, side = meta.get("window_origin"), meta.get("window_side")

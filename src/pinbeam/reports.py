@@ -96,7 +96,7 @@ def certificate_from_dict(d: dict) -> BeamCertificate:
             ),
             gap=(float(d["gap"][0]), float(d["gap"][1])),
         )
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"certificate JSON does not match schema: {exc}") from exc
 
 

@@ -296,6 +296,15 @@ class TestMalformedInputs:
         assert err.startswith(f"error: sidecar {sidecar}: ") and key in err
         assert err.count("\n") == 1 and not (tmp_path / "c.json").exists()
 
+    def test_truncated_sidecar(self, tmp_path, capsys):
+        save_raster(single_cell(64, 5, 5), tmp_path / "a.pb")
+        sidecar = tmp_path / "a.meta.json"
+        sidecar.write_text('{"window_origin": [0, 0], ')
+        assert self._prospect(tmp_path) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sidecar {sidecar}: not valid JSON: ")
+        assert err.count("\n") == 1 and not (tmp_path / "c.json").exists()
+
     def test_well_formed_sidecar_with_int_reals_loads(self, tmp_path):
         save_raster(single_cell(64, 5, 5), tmp_path / "a.pb")
         (tmp_path / "a.meta.json").write_text('{"window_origin": [1, -2], "window_side": 2}')
@@ -317,6 +326,14 @@ class TestMalformedInputs:
         assert err.startswith("error: config") and key in err and err.count("\n") == 1
         assert not (tmp_path / "c.json").exists()
 
+    def test_truncated_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 64,')
+        assert self._prospect(tmp_path, "--config", str(cfg)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg}: not valid JSON: ") and err.count("\n") == 1
+        assert not (tmp_path / "c.json").exists()
+
     def test_config_takes_ints_for_reals_and_null_where_default_is_null(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tau": 2, "rho": None, "subsample": None, "seed": 4}))
@@ -334,6 +351,17 @@ class TestVerifyCmd:
                      "--nodes", "64", "--ladder-depth", "1"]) == EXIT_OK
         assert main(["verify", "--cert", str(cert), "--raster", str(raster),
                      "--nodes", "64", "--refinement", "4"]) == EXIT_OK
+
+    def test_non_numeric_real_is_a_schema_error(self, tmp_path, capsys):
+        raster = tmp_path / "a.pb"
+        save_raster(full_square(64), raster)
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"beta": "x"}')
+        rc = main(["verify", "--cert", str(cert), "--raster", str(raster), "--nodes", "64"])
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: certificate JSON does not match schema: ")
+        assert "'x'" in err and err.count("\n") == 1
 
     def test_wrong_raster_fails_with_code_2(self, tmp_path):
         raster = tmp_path / "a.pb"

@@ -9,17 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import pinbeam.fields as fields
 from pinbeam import CurveParams, GridSpec, build_cutoff, support_radius
-from pinbeam.fields import (
-    _MODES,
-    MODE_ABSMAX,
-    MODE_MAX,
-    _extremal,
-    extremal_conv_field,
-    field_cache,
-    shift_table,
-)
+from pinbeam.fields import _extremal, extremal_conv_field, field_cache, shift_table
 from pinbeam.kernel import Cutoff, t_grid
 
 P = CurveParams(2.0, 1.0, 2.4)
@@ -98,7 +89,7 @@ def reference_shift_table(cutoff, grid, ts):
     return np.concatenate(dxs), np.concatenate(dys), np.concatenate(ws), np.asarray(tptr)
 
 
-def reference_extremal(q, dx, dy, w, tptr, base, mode, out):
+def reference_extremal(q, dx, dy, w, tptr, base, absolute, out):
     """Unpadded per-group accumulation: the summation order the engine must keep."""
     n = q.shape[0]
     acc = np.empty_like(q)
@@ -113,7 +104,7 @@ def reference_extremal(q, dx, dy, w, tptr, base, mode, out):
             if r0 < r1 and c0 < c1:
                 acc[r0:r1, c0:c1] += wg * q[r0 + sy : r1 + sy, c0 + sx : c1 + sx]
         val = acc - base
-        if mode == MODE_ABSMAX:
+        if absolute:
             np.abs(val, out=val)
         if k == 0:
             out[:] = val
@@ -146,7 +137,7 @@ def fma_bound(q, dx, dy, w, tptr, base):
     over scales.
     """
     m = np.empty_like(q)
-    reference_extremal(np.abs(q), dx, dy, np.abs(w), tptr, -np.abs(base), MODE_MAX, m)
+    reference_extremal(np.abs(q), dx, dy, np.abs(w), tptr, -np.abs(base), False, m)
     return (int(np.diff(tptr).max()) + 3) * np.finfo(np.float64).eps * m
 
 
@@ -161,11 +152,12 @@ def assert_matches_reference(got, want, q, dx, dy, w, tptr, base):
     assert (np.signbit(got[zero]) == np.signbit(want[zero])).all()
 
 
+# the ids keep the names these tests have been tracked under
 @pytest.mark.parametrize(
-    "mode, with_base", [(MODE_MAX, False), (MODE_ABSMAX, True)]
+    "absolute, with_base", [(False, False), (True, True)], ids=["0-False", "1-True"]
 )
 @pytest.mark.parametrize("indicator", [True, False], ids=["q01", "qrandom"])
-def test_single_pass_matches_reference(mode, with_base, indicator):
+def test_single_pass_matches_reference(absolute, with_base, indicator):
     n = 13
     rng = np.random.default_rng(5)
     q = rng.random((n, n))
@@ -175,19 +167,20 @@ def test_single_pass_matches_reference(mode, with_base, indicator):
     dx, dy, w, tptr = hand_table(n)
     zeros_or_base = np.zeros((n, n)) if base is None else base
     want = np.empty((n, n))
-    reference_extremal(q, dx, dy, w, tptr, zeros_or_base, mode, want)
+    reference_extremal(q, dx, dy, w, tptr, zeros_or_base, absolute, want)
     got = np.empty((n, n))
-    _extremal(q, dx, dy, w, tptr, base, mode, got)
+    _extremal(q, dx, dy, w, tptr, base, absolute, got)
     assert_matches_reference(got, want, q, dx, dy, w, tptr, zeros_or_base)
 
 
+# the ids keep the names these tests have been tracked under
 @pytest.mark.parametrize(
-    "mode, with_base", [(MODE_MAX, False), (MODE_ABSMAX, True)]
+    "absolute, with_base", [(False, False), (True, True)], ids=["0-False", "1-True"]
 )
 @pytest.mark.parametrize(
     "bands", [[(0, 13)], [(0, 7), (7, 13)], [(0, 1), (1, 3), (3, 4), (4, 9), (9, 12), (12, 13)]]
 )
-def test_bands_match_reference_bitwise(monkeypatch, mode, with_base, bands):
+def test_bands_match_reference_bitwise(monkeypatch, absolute, with_base, bands):
     """Splitting every daxpy at row-band boundaries changes no bit.
 
     OpenBLAS threads split each daxpy's vector into chunks, and its kernels
@@ -219,13 +212,13 @@ def test_bands_match_reference_bitwise(monkeypatch, mode, with_base, bands):
 
     for q in ((q_random < 0.5).astype(np.float64), q_random):
         want = np.empty((n, n))
-        reference_extremal(q, dx, dy, w, tptr, zeros_or_base, mode, want)
+        reference_extremal(q, dx, dy, w, tptr, zeros_or_base, absolute, want)
         single = np.empty((n, n))
-        _extremal(q, dx, dy, w, tptr, base, mode, single)
+        _extremal(q, dx, dy, w, tptr, base, absolute, single)
         got = np.empty((n, n))
         with monkeypatch.context() as m:
             m.setattr(scipy.linalg.blas, "daxpy", banded_daxpy)
-            _extremal(q, dx, dy, w, tptr, base, mode, got)
+            _extremal(q, dx, dy, w, tptr, base, absolute, got)
         assert got.tobytes() == single.tobytes()
         assert_matches_reference(got, want, q, dx, dy, w, tptr, zeros_or_base)
     assert len(pieces) > 2 * len(bands)
@@ -238,7 +231,7 @@ def test_engine_matches_reference_bitwise(small_case, mode):
     table = reference_shift_table(cutoff, grid, ts)
     for q in ((q_random < 0.5).astype(np.float64), q_random):
         want = np.empty_like(q)
-        reference_extremal(q, *table, base, _MODES[mode], want)
+        reference_extremal(q, *table, base, mode == "absmax", want)
         got = extremal_conv_field(q, grid, cutoff, interval, mode, base=base)
         assert_matches_reference(got, want, q, *table, base)
 
@@ -272,11 +265,29 @@ print(hashlib.sha256(out.tobytes()).hexdigest())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
-@pytest.mark.parametrize("n, nodes, interval", [(16, 16, (0.0625, 0.125)), (256, 64, (2.0**-6, 2.0**-5))])
-def test_shift_table_matches_per_scale_table(n, nodes, interval):
+# Equal weights on nodes m / 32: at the dyadic ends of default_ladder(2)'s
+# blocks many samples fall exactly on cell edges of a 16-cell window, as in
+# test_prospect's _edge_case.
+EDGE_NODES = np.array([32, 36, 38, 40, 44, 48, 50, 56, 60, 62, 68, 72, 74, 76]) / 32
+EDGE_CUTOFF = Cutoff(P, EDGE_NODES, np.full(EDGE_NODES.size, 1 / EDGE_NODES.size), 0.5)
+
+
+@pytest.mark.parametrize("n, cutoff, interval", [
+    pytest.param(16, build_cutoff(P, 16, 0.5), (0.0625, 0.125), id="16-16-interval0"),
+    pytest.param(256, build_cutoff(P, 64, 0.5), (2.0**-6, 2.0**-5), id="256-64-interval1"),
+    # coarse grids: many of the 128 nodes share a cell
+    pytest.param(8, build_cutoff(P, 128, 0.5), (0.125, 0.25), id="coarse-8-128"),
+    pytest.param(16, build_cutoff(P, 128, 0.5), (0.0625, 0.125), id="coarse-16-128"),
+    pytest.param(64, build_cutoff(CurveParams(3.0, 1.0, 1.5), 64, 0.5), (2.0**-5, 2.0**-4),
+                 id="beta-3"),
+    pytest.param(64, build_cutoff(CurveParams(0.5, 1.0, 2.4).swapped(), 64, 0.5),
+                 (2.0**-5, 2.0**-4), id="beta-half-swapped"),
+    pytest.param(16, EDGE_CUTOFF, (0.25, 0.5), id="dyadic-edges-block1"),
+    pytest.param(16, EDGE_CUTOFF, (0.0625, 0.125), id="dyadic-edges-block2"),
+])
+def test_shift_table_matches_per_scale_table(n, cutoff, interval):
     grid = GridSpec(n)
-    cutoff = build_cutoff(P, nodes, 0.5)
-    ts = t_grid(*interval, grid.h, support_radius(P))
+    ts = t_grid(*interval, grid.h, support_radius(cutoff.params))
     got = shift_table(cutoff, grid, ts)
     want = reference_shift_table(cutoff, grid, ts)
     for g, e in zip(got, want):
@@ -369,10 +380,7 @@ def test_any_changed_input_misses(small_case, engine_runs, change):
     assert len(engine_runs) == 2
 
 
-def test_stored_shift_tables_are_read_only(small_case):
+def test_unknown_mode_names_the_accepted_ones(small_case):
     grid, cutoff, q, interval, ts = small_case
-    extremal_conv_field(q, grid, cutoff, interval, "max")
-    tables = list(fields._shift_tables._store.values())
-    assert tables
-    for table in tables:
-        assert not any(arr.flags.writeable for arr in table)
+    with pytest.raises(ValueError, match="mode must be 'max' or 'absmax', got 'min'"):
+        extremal_conv_field(q, grid, cutoff, interval, "min")

@@ -96,6 +96,12 @@ class TestCutoff:
         with pytest.raises(ValueError, match="positive"):
             Cutoff(P24, [0.0, 1.5], [0.5, 0.5], 0.5)
 
+    def test_hand_built_nodes_must_ascend(self):
+        # the field engine and the ladder scan group equal shifts as runs
+        for nodes in ([1.0, 1.5, 1.2], [1.0, 1.5, 1.5]):
+            with pytest.raises(ValueError, match="ascend"):
+                Cutoff(P24, nodes, [0.25, 0.25, 0.5], 0.5)
+
     def test_hand_built_weights_must_be_positive(self):
         # a zero-weight node would be a witness that adds nothing to the average
         with pytest.raises(ValueError, match="positive"):
