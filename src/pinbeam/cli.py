@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import constructions
+from . import constructions, smoothing
 from .fields import field_cache
 from .harness import (
     HarnessConstants,
@@ -188,7 +188,11 @@ def _cmd_prospect(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    cert = certificate_from_dict(json.loads(Path(args.cert).read_text()))
+    try:
+        body = json.loads(Path(args.cert).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"certificate {args.cert}: not valid JSON: {exc}") from None
+    cert = certificate_from_dict(body)
     raster = load_raster(args.raster)
     result = verify_certificate(raster, cert, args.refinement, _sampling(cfg))
     if result.ok:
@@ -327,6 +331,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     compute_sq_sums(unit, default_ladder(3), 1, 3, HarnessConstants(tau=0.1, rho=0.25))
     rows.append(("sq sums N=1024", time.perf_counter() - t0))
+
+    # One cold kernel spectrum spanning an N=2048 window: rad = n - 1, L = 4096.
+    wide = GridSpec(2048)
+    t0 = time.perf_counter()
+    smoothing._kernel_spectrum(wide, 0.5, smoothing._transform_length(2048, 2047))
+    rows.append(("spectra N=2048", time.perf_counter() - t0))
 
     # Only a full window counts, so on a random set both radii are scanned.
     big = generate_random(GridSpec(2048, side=4.0), cfg.delta, cfg.seed)

@@ -8,35 +8,48 @@ length).  Martingale averages are computed by a cascade of 2x2 block means
 so that coarsening a block-constant field is bit-exact, which makes
 E_k E_m = E_min an identity rather than a tolerance.
 
-Transform length.  A call transforms at L = next_fast_len(n + R), R the
-largest kernel radius of the call.  The linear convolution of an n-wide
-field with a (2r + 1)-wide kernel has indices 0 .. n + 2r - 2, and the kept
-window is [r, r + n).  The cyclic convolution of length L folds linear
-index i + L onto i; as L >= n + r, every folded index is at least n + 2r,
-past the last linear one, so no wrapped term lands in the window.  L
-depends on R alone, so a scale smoothed alone and the same scale smoothed
-beside smaller ones give the same bytes.
+Kernel spectra.  The kernel is even in x and in y, so only its (R + 1)^2
+quarter, displacements 0 .. R cells, is built; R is the kernel radius.  Its
+mass is that of the full kernel, 4 sum q - 2 (sum q[0, :] + sum q[:, 0]) +
+q[0, 0].  Centred at index 0 with wrap-around, the kernel's length-L DFT is
+real and even, and equals the DCT-I of the quarter zero-padded to
+(L/2 + 1)^2.  That real (L/2 + 1)^2 array is what the cache stores: 8 MB
+at L = 2048, against 32 MB for the complex (L, L/2 + 1) spectrum.  Row
+L - k of the spectrum is row k, so the product with the field's transform
+is two slice multiplies, and the full spectrum is never built.
 
-Pruned passes.  The 2-d transforms run as their two 1-d passes, each over
-only the rows it needs.  Forward (field and kernel alike): a real transform
-along axis 1 of the n (or 2r + 1) rows that hold data, then a complex one
-along axis 0, zero-padded to L.  Inverse: an unscaled complex transform
-along axis 0, then an unscaled real one along axis 1 of the kept rows
-[r, r + n) only, then one multiply by fl(1/L^2), then by h^2.  The bits
-equal rfft2/irfft2 at (L, L): the skipped rows are zeros, which transform
-to exact zeros, or are dropped; pocketfft's own 2-d inverse runs the same
-1-d passes unscaled and applies its factor fl(1/L^2), rounded from long
-double, once, after its last pass.
+Transform length.  A call transforms at the even length
+L = 2 next_fast_len(ceil((n + R) / 2)), R the largest kernel radius of the
+call.  With the kernel centred at 0 the cyclic convolution's output index i
+sums field index j at kernel offset (i - j) mod L.  For i, j in the window
+[0, n), i - j lies in (-n, n); a wrapped offset i - j + L is at least
+L - n + 1 > R as L >= n + R, so it misses the kernel, and the kept window
+is [0, n).  L depends on R alone, so a scale smoothed alone and the same
+scale smoothed beside smaller ones give the same bytes.  As R <= n - 1,
+R < L/2, so the quarter always fits.
+
+Pruned passes.  The field's forward 2-d transform runs as its two 1-d
+passes: a real transform along axis 1 of the n rows that hold data, then a
+complex one along axis 0, zero-padded to L.  Inverse: an unscaled complex
+transform along axis 0, then an unscaled real one along axis 1 of the kept
+rows [0, n) only, then one multiply by fl(1/L^2), then by h^2.  The bits
+equal rfft2/irfft2 at (L, L) with the same spectrum: the skipped rows are
+zeros, which transform to exact zeros, or are dropped; pocketfft's own 2-d
+inverse runs the same 1-d passes unscaled and applies its factor fl(1/L^2),
+rounded from long double, once, after its last pass.
 
 Threads.  Every transform runs on as many pocketfft threads as the process
 may use.  pocketfft hands whole 1-d transforms to its threads, so the
 thread count changes no bit.
 
-Tolerance.  Rounding depends on the transform length.  Against direct
-convolution every smoothed field agrees to 1e-12 absolute; going from the
-earlier n + 2R length to n + R moved a [0, 1]-valued field at N=1024 by
-under 1e-15.  Output bits are reproducible per machine, not across length
-rules.
+Tolerance.  Rounding depends on the transform length and on how the
+spectrum is computed.  Against direct convolution every smoothed field
+agrees to 1e-12 absolute.  Each change of length rule or of spectrum has
+moved a [0, 1]-valued field by under 1e-15 absolute: the earlier n + 2R
+length to n + R, and the complex spectrum of the kernel at [0, 2R + 1) to
+the DCT-I of the quarter at the even length.  The quarter's mass differs
+from the full kernel's pairwise sum by a few ulps (under 2e-15 relative).
+Output bits are reproducible per machine, not across these rules.
 """
 
 from __future__ import annotations
@@ -76,34 +89,56 @@ def _kernel_radius(grid: GridSpec, t: float) -> int:
     return min(math.ceil(TRUNCATION_FACTOR * t / grid.h), grid.n - 1)
 
 
+def _transform_length(n: int, rad: int) -> int:
+    """The even transform length 2 next_fast_len(ceil((n + rad) / 2))."""
+    return 2 * sfft.next_fast_len(-(-(n + rad) // 2))
+
+
+def _kernel_quarter(grid: GridSpec, t: float) -> np.ndarray:
+    """The renormalized kernel at displacements (i h, j h), 0 <= i, j <= R."""
+    h = grid.h
+    r_tr = TRUNCATION_FACTOR * t
+    rad = _kernel_radius(grid, t)
+    d = np.arange(rad + 1) * h
+    d2 = d * d
+    # poisson_point's arithmetic, in its order, built in one quarter-sized array
+    q = np.add(t * t, d2[:, None], out=np.empty((d.size, d.size)))
+    q += d2
+    q **= 1.5
+    q *= 2.0 * math.pi
+    np.divide(t, q, out=q)
+    r2 = r_tr * r_tr
+    if 2.0 * d2[-1] > r2:  # else the disc covers the square and nothing is cut
+        for row, x2 in zip(q, d2):
+            row[x2 + d2 > r2] = 0.0
+    # the full kernel's mass: four quarters, less the axes counted twice over
+    mass = 4.0 * q.sum() - 2.0 * (q[0].sum() + q[:, 0].sum()) + q[0, 0]
+    q /= mass * (h * h)
+    return q
+
+
 def poisson_kernel(grid: GridSpec, t: float) -> np.ndarray:
     """Truncated, renormalized Poisson kernel sampled at cell displacements.
 
     phi_t(x, y) = t / (2 pi (t^2 + x^2 + y^2)^(3/2)), kept on the disc of
     radius 50 t (capped at the window extent, beyond which displacements
     cannot occur between window cells) and rescaled so the discrete mass
-    h^2 * sum equals 1.
+    h^2 * sum equals 1.  The (2R + 1)^2 array, displacement 0 at [R, R], is
+    mirrored from the quarter that smoothing uses.
     """
-    h = grid.h
-    r_tr = TRUNCATION_FACTOR * t
-    rad = _kernel_radius(grid, t)
-    d = np.arange(-rad, rad + 1) * h
-    d2 = d * d
-    # poisson_point's arithmetic, in its order, built in one kernel-sized array
-    ker = np.add(t * t, d2[:, None], out=np.empty((d.size, d.size)))
-    ker += d2
-    ker **= 1.5
-    ker *= 2.0 * math.pi
-    np.divide(t, ker, out=ker)
-    r2 = r_tr * r_tr
-    for row, x2 in zip(ker, d2):
-        row[x2 + d2 > r2] = 0.0
-    ker /= ker.sum() * (h * h)
-    return ker
+    q = _kernel_quarter(grid, t)
+    idx = np.abs(np.arange(1 - q.shape[0], q.shape[0]))
+    return q[idx[:, None], idx]
 
 
 _kernel_spectra = LRUCache()
 _FFT_WORKERS = len(os.sched_getaffinity(0))
+
+
+def _kernel_spectrum(grid: GridSpec, t: float, size: int) -> np.ndarray:
+    """Rows and columns 0 .. size/2 of the real length-`size` kernel DFT."""
+    m = size // 2 + 1
+    return sfft.dctn(_kernel_quarter(grid, t), type=1, s=(m, m), workers=_FFT_WORKERS)
 
 
 def _padded_rfft2(x: np.ndarray, size: int) -> np.ndarray:
@@ -116,22 +151,25 @@ def poisson_smooth_multi(field: ScalarField, scales) -> list[ScalarField]:
     """Poisson-smooth one field at several scales, sharing the field transform."""
     grid = field.grid
     n, h = grid.n, grid.h
-    rads = [_kernel_radius(grid, t) for t in scales]
-    size = sfft.next_fast_len(n + max(rads))
+    size = _transform_length(n, max(_kernel_radius(grid, t) for t in scales))
+    half = size // 2
     # The inverse passes run unscaled (norm="forward"); 1/L^2 is applied once,
     # rounded from long double as pocketfft's own 2-d inverse rounds it.
     inv_area = float(np.longdouble(1) / np.longdouble(size * size))
     f_hat = _padded_rfft2(field.values, size)
     prod = np.empty_like(f_hat)
     outs = []
-    for t, rad in zip(scales, rads):
+    for t in scales:
         key = (grid.n, grid.origin, grid.side, float(t), size)
-        k_hat = _kernel_spectra.get(key, lambda: _padded_rfft2(poisson_kernel(grid, t), size))
-        np.multiply(f_hat, k_hat, out=prod)
+        k_hat = _kernel_spectra.get(key, lambda: _kernel_spectrum(grid, t, size))
+        # rows half + 1 .. size - 1 of the even spectrum are rows half - 1 .. 1
+        np.multiply(f_hat[: half + 1], k_hat, out=prod[: half + 1])
+        np.multiply(f_hat[half + 1 :], k_hat[half - 1 : 0 : -1], out=prod[half + 1 :])
         cols = sfft.ifft(prod, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
-        conv = sfft.irfft(cols[rad : rad + n], size, axis=1, norm="forward", workers=_FFT_WORKERS)
-        out = conv[:, rad : rad + n] * inv_area
+        conv = sfft.irfft(cols[:n], size, axis=1, norm="forward", workers=_FFT_WORKERS)
+        out = conv[:, :n] * inv_area
         out *= h * h
+        out.setflags(write=False)  # ScalarField keeps a read-only array uncopied
         outs.append(ScalarField(grid, out))
     return outs
 
@@ -181,6 +219,7 @@ def martingale_average(field: ScalarField, k: int) -> ScalarField:
     f = 2**depth
     if f > 1:
         v = np.repeat(np.repeat(v, f, axis=0), f, axis=1)
+        v.setflags(write=False)  # ScalarField keeps a read-only array uncopied
     return ScalarField(field.grid, v)
 
 

@@ -266,7 +266,7 @@ class TestProspectCmd:
 
 
 class TestMalformedInputs:
-    """Malformed sidecars and config files end in one error line and exit 1."""
+    """Malformed sidecars, config and certificate files end in one error line and exit 1."""
 
     @staticmethod
     def _prospect(tmp_path, *extra):
@@ -333,6 +333,16 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config {cfg}: not valid JSON: ") and err.count("\n") == 1
         assert not (tmp_path / "c.json").exists()
+
+    def test_truncated_certificate(self, tmp_path, capsys):
+        raster = tmp_path / "a.pb"
+        save_raster(full_square(64), raster)
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"beta": "2.0", ')
+        assert main(["verify", "--cert", str(cert), "--raster", str(raster)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: certificate {cert}: not valid JSON: ")
+        assert err.count("\n") == 1
 
     def test_config_takes_ints_for_reals_and_null_where_default_is_null(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -446,6 +456,7 @@ class TestBench:
         out = capsys.readouterr().out
         assert "prospect" in out
         assert "sq sums N=1024" in out
+        assert "spectra N=2048" in out
         assert "dense window N=2048" in out
 
     def test_bench_times_the_exhaustion_report(self, capsys):

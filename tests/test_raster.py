@@ -7,6 +7,7 @@ from pinbeam import (
     GridSpec,
     RasterParseError,
     RasterSet,
+    ScalarField,
     axis_swap,
     complement_in_window,
     generate_random,
@@ -83,6 +84,15 @@ class TestComplement:
         g = complement_in_window(a)
         assert (g.values + indicator(a).values == 1.0).all()
         assert measure(a) + integral(g) == 1.0
+
+
+class TestScalarField:
+    def test_shares_read_only_input_and_copies_writeable_one(self):
+        vals = np.random.default_rng(0).random((16, 16))
+        copied = ScalarField(GridSpec(16), vals).values
+        assert not np.shares_memory(copied, vals) and not copied.flags.writeable
+        vals.setflags(write=False)
+        assert np.shares_memory(ScalarField(GridSpec(16), vals).values, vals)
 
 
 class TestGenerateRandom:

@@ -55,22 +55,43 @@ def row_product_convolve(values, ker):
     return out
 
 
+def full_spectrum(rows):
+    """The (L, L/2 + 1) rfft2 layout of an even spectrum from its rows 0 .. L/2."""
+    return np.concatenate([rows, rows[-2:0:-1]])
+
+
+def wrapped_kernel(grid, t, size):
+    """The full kernel on a size x size torus, displacement 0 at [0, 0]."""
+    ker = poisson_kernel(grid, t)
+    rad = (ker.shape[0] - 1) // 2
+    wrapped = np.zeros((size, size))
+    wrapped[: ker.shape[0], : ker.shape[0]] = ker
+    return np.roll(wrapped, (-rad, -rad), axis=(0, 1))
+
+
 def irfft2_smooth(field, scales):
-    """poisson_smooth_multi before its transforms were pruned: full 2-d
-    rfft2/irfft2 at L x L, the kept window sliced out afterwards."""
+    """poisson_smooth_multi without pruned passes or half-spectrum products:
+    full 2-d rfft2/irfft2 at L x L times the mirrored (L, L/2 + 1) spectrum,
+    the kept window sliced out afterwards."""
     grid = field.grid
     n, h = grid.n, grid.h
-    rads = [smoothing._kernel_radius(grid, t) for t in scales]
-    size = sfft.next_fast_len(n + max(rads))
+    size = smoothing._transform_length(n, max(smoothing._kernel_radius(grid, t) for t in scales))
     shape = (size, size)
     workers = smoothing._FFT_WORKERS
     f_hat = sfft.rfft2(field.values, shape, workers=workers)
     outs = []
-    for t, rad in zip(scales, rads):
-        k_hat = sfft.rfft2(poisson_kernel(grid, t), shape, workers=workers)
+    for t in scales:
+        k_hat = full_spectrum(smoothing._kernel_spectrum(grid, t, size))
         conv = sfft.irfft2(f_hat * k_hat, shape, workers=workers)
-        outs.append(conv[rad : rad + n, rad : rad + n] * (h * h))
+        outs.append(conv[:n, :n] * (h * h))
     return outs
+
+
+def quarter_mass(ker):
+    """The full kernel's sum from its quarter, as the quarter builder takes it."""
+    rad = (ker.shape[0] - 1) // 2
+    q = np.ascontiguousarray(ker[rad:, rad:])  # numpy sums a strided view in another order
+    return 4.0 * q.sum() - 2.0 * (q[0].sum() + q[:, 0].sum()) + q[0, 0]
 
 
 PRUNED_SWEEP_NS = (16, 64, 128, 256)
@@ -107,7 +128,8 @@ class TestPoissonKernel:
     @pytest.mark.parametrize("n", [64, 256, 1024])
     @pytest.mark.parametrize("side", [1.0, 4.0])
     def test_equals_meshgrid_kernel(self, n, side):
-        # the kernel as first built, from two full coordinate grids
+        # the kernel as first built, from two full coordinate grids, and
+        # renormalized by the full kernel's mass summed from its quarter
         def meshgrid_kernel(grid, t):
             h = grid.h
             r_tr = 50.0 * t
@@ -116,7 +138,9 @@ class TestPoissonKernel:
             xx, yy = np.meshgrid(d, d, indexing="ij")
             ker = poisson_point(t, xx, yy)
             ker[xx * xx + yy * yy > r_tr * r_tr] = 0.0
-            ker /= ker.sum() * (h * h)
+            mass = quarter_mass(ker)
+            assert mass == pytest.approx(ker.sum(), rel=2e-15)
+            ker /= mass * (h * h)
             return ker
 
         g = GridSpec(n, side=side)
@@ -126,7 +150,8 @@ class TestPoissonKernel:
     @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     def test_equals_broadcast_kernel(self, n):
         # the kernel as built before it was computed in place: broadcast
-        # coordinates, a full-size x^2 + y^2 array and a boolean mask
+        # coordinates, a full-size x^2 + y^2 array and a boolean mask; the
+        # mass summed from the quarter
         def broadcast_kernel(grid, t):
             h = grid.h
             r_tr = 50.0 * t
@@ -135,7 +160,9 @@ class TestPoissonKernel:
             x, y = d[:, None], d[None, :]
             ker = poisson_point(t, x, y)
             ker[x * x + y * y > r_tr * r_tr] = 0.0
-            ker /= ker.sum() * (h * h)
+            mass = quarter_mass(ker)
+            assert mass == pytest.approx(ker.sum(), rel=2e-15)
+            ker /= mass * (h * h)
             return ker
 
         g = GridSpec(n)
@@ -160,10 +187,11 @@ class TestPoissonSmooth:
         # sub-cell to block scales, and kernels spanning the whole window
         cases = [(rand_field(n, seed), t, None) for n, t, seed in (
             (64, 0.01, 3), (64, 0.002, 4), (256, 1.0 / 512, 5), (16, 0.5, 6), (32, 0.5, 7))]
-        # n + rad is already a fast length (16 + 9 = 25, 32 + 13 = 45), so the
-        # transform has no slack: the far corners' mass wraps to the cells
-        # just before the kept window
-        for n, t, length in ((16, 0.011, 25), (32, 0.008, 45)):
+        # n + rad is already twice a fast length (16 + 8 = 24, 32 + 16 = 48),
+        # so the transform has no slack: the far corners' mass wraps to the
+        # cells n .. L - 1, just past the kept window; 50 t is rad cells, so
+        # the kernel is nonzero out to offset rad
+        for n, t, length in ((16, 0.01, 24), (32, 0.01, 48)):
             corners = np.zeros((n, n))
             corners[:: n - 1, :: n - 1] = 1.0
             cases.append((ScalarField(GridSpec(n), corners), t, length))
@@ -234,13 +262,13 @@ class TestPoissonSmooth:
         scales = [1 / 64, 1 / 8]
         poisson_smooth_multi(h, scales)
         built = []
-        kernel = smoothing.poisson_kernel
+        quarter = smoothing._kernel_quarter
 
         def counted(grid, t):
             built.append(t)
-            return kernel(grid, t)
+            return quarter(grid, t)
 
-        monkeypatch.setattr(smoothing, "poisson_kernel", counted)
+        monkeypatch.setattr(smoothing, "_kernel_quarter", counted)
         poisson_smooth_multi(h, scales)
         assert built == []
         smoothing._kernel_spectra.clear()
@@ -260,6 +288,23 @@ class TestPoissonSmooth:
                 got = smoothing._padded_rfft2(x, size)
                 assert got.shape == (size, size // 2 + 1)
                 assert (got == sfft.rfft2(x, (size, size))).all()
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_cached_spectrum_is_the_even_kernel_dft(self, n):
+        # the stored rows 0 .. L/2 of the real spectrum, mirrored, against the
+        # complex transform of the full kernel wrapped around index 0
+        g = GridSpec(n)
+        for rad in (1, n // 3, n - 1):
+            t = scale_of_radius(g, rad)
+            size = smoothing._transform_length(n, rad)
+            smoothing._kernel_spectra.clear()
+            poisson_smooth_multi(rand_field(n, rad), [t])
+            (k_hat,) = smoothing._kernel_spectra._store.values()
+            assert k_hat.dtype == np.float64
+            assert k_hat.shape == (size // 2 + 1, size // 2 + 1)
+            ref = sfft.rfft2(wrapped_kernel(g, t, size))
+            mass = poisson_kernel(g, t).sum()
+            assert np.abs(full_spectrum(k_hat) - ref).max() <= 1e-15 * mass
 
     @pytest.mark.parametrize("n", PRUNED_SWEEP_NS)
     def test_pruned_transforms_equal_full_2d_path(self, n, monkeypatch):
@@ -281,7 +326,7 @@ class TestPoissonSmooth:
         odd = {
             size
             for n in PRUNED_SWEEP_NS
-            for size in (sfft.next_fast_len(n + rad) for rad in pruned_sweep_radii(n))
+            for size in (smoothing._transform_length(n, rad) for rad in pruned_sweep_radii(n))
             if size & (size - 1)
         }
         assert len(odd) >= 50
@@ -310,24 +355,47 @@ def test_import_leaves_scipy_signal_unloaded():
     assert not loaded_by_import("scipy.signal")
 
 
-def test_smoothing_peak_memory_at_n1024():
-    # a kernel spanning the window (rad = n - 1) at N=1024: the pruned
-    # (n + rad) transforms peak near 195 MB in a fresh interpreter, full 2-d
-    # ones near 225 MB, and the old n + 2 rad length near 430 MB
+def peak_kb_in_fresh_interpreter(code: str) -> int:
+    """VmHWM after running `code` in a fresh interpreter that imports src/."""
     src = Path(__file__).resolve().parents[1] / "src"
     # VmHWM, not ru_maxrss: Linux carries the parent's peak into a child's
     # ru_maxrss across exec, so under pytest it reads the test process's peak
-    code = """
-import numpy as np
-from pinbeam import GridSpec, ScalarField, poisson_smooth
-poisson_smooth(ScalarField(GridSpec(1024), np.random.default_rng(0).random((1024, 1024))), 0.5)
+    code += """
 print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True, timeout=120,
     )
-    assert int(out.stdout) < 320 * 1024  # kB
+    return int(out.stdout)
+
+
+def test_smoothing_peak_memory_at_n1024():
+    # a kernel spanning the window (rad = n - 1) at N=1024: the pruned passes
+    # with stored DCT-I quarter spectra peak near 165 MB in a fresh
+    # interpreter, with complex (L, L/2 + 1) spectra near 198 MB, full 2-d
+    # transforms near 225 MB, and the old n + 2 rad length near 430 MB
+    code = """
+import numpy as np
+from pinbeam import GridSpec, ScalarField, poisson_smooth
+poisson_smooth(ScalarField(GridSpec(1024), np.random.default_rng(0).random((1024, 1024))), 0.5)
+"""
+    assert peak_kb_in_fresh_interpreter(code) < 320 * 1024
+
+
+def test_square_sum_smoothing_peak_memory_at_n1024():
+    # the square sums' call in the reduce flow: blocks 2..3 at rho = 1/4, four
+    # scales, two of them with rad = n - 1; near 250 MB with stored DCT-I
+    # quarter spectra, near 393 MB with complex (L, L/2 + 1) spectra
+    code = """
+import numpy as np
+from pinbeam import GridSpec, ScalarField, default_ladder, poisson_smooth_multi
+from pinbeam.harness import _block_scales
+g = GridSpec(1024)
+scales = [s for j in (2, 3) for s in _block_scales(g, default_ladder(3), j, 0.25)[2:4]]
+poisson_smooth_multi(ScalarField(g, np.random.default_rng(0).random((1024, 1024))), scales)
+"""
+    assert peak_kb_in_fresh_interpreter(code) < 300 * 1024
 
 
 def test_import_leaves_scipy_linalg_unloaded():
