@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import constructions, smoothing
-from .fields import field_cache
+from .fields import extremal_conv_field, field_cache
 from .harness import (
     HarnessConstants,
     _block_scales,
@@ -69,44 +69,25 @@ EXIT_ERROR = 1
 EXIT_VERIFY_FAIL = 2
 EXIT_EXHAUSTION = 3
 
-_CONFIG_FLAGS = [
-    ("beta", float), ("eta", float), ("theta", float), ("delta", float),
-    ("n", int), ("nodes", int), ("plateau_frac", float), ("cprime", float),
-    ("p", float), ("alpha", float), ("c0", float), ("rho", float),
-    ("tau", float), ("seed", int), ("t_per_octave", int), ("subsample", int),
-    ("outdir", str),
-]
-
 
 def _add_config_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    for name, typ in _CONFIG_FLAGS:
+    for name, typ in RunConfig.key_types().items():
         sp.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None, dest=name)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         try:
             file_cfg = json.loads(args.config.read_text())
         except json.JSONDecodeError as exc:
             raise ValueError(f"config {args.config}: not valid JSON: {exc}") from None
-        defaults = cfg.to_dict()
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config {args.config}: expected a JSON object, got {file_cfg!r}")
-        for name, typ in _CONFIG_FLAGS:
-            value = file_cfg.get(name)
-            # JSON ints are accepted as reals; bool is not an int here.
-            ok = type(value) in ((int, float) if typ is float else (typ,))
-            if name in file_cfg and not (ok or value is None and defaults[name] is None):
-                raise ValueError(f"config key {name!r} must be {typ.__name__}, got {value!r}")
-        cfg = RunConfig.from_dict({**defaults, **file_cfg})
-    overrides = {
-        name: getattr(args, name)
-        for name, _ in _CONFIG_FLAGS
-        if getattr(args, name, None) is not None
-    }
-    return replace(cfg, **overrides)
+        cfg = RunConfig.from_dict(file_cfg)
+    flags = {name: getattr(args, name) for name in RunConfig.key_types()}
+    return replace(cfg, **{name: v for name, v in flags.items() if v is not None})
 
 
 def _params(cfg: RunConfig) -> CurveParams:
@@ -154,7 +135,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raster = constructions.carve_block_arcs(full, region, ladder, args.block, cutoff)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown kind {args.kind}")
-    save_raster(raster, args.out, write_sidecar=True)
+    save_raster(raster, args.out)
     print(f"wrote {args.out} (measure {measure(raster):.6g})")
     return EXIT_OK
 
@@ -204,9 +185,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _admissible_blocks(constants: HarnessConstants, params: CurveParams,
-                       grid: GridSpec, depth: int = 8) -> list[int]:
+                       grid: GridSpec) -> list[int]:
+    """Blocks past J0, up to 8, whose fine smoothing scale rho*c_j resolves on the grid."""
     j0 = compute_j0(constants.tau, params)
-    return [j for j in range(j0 + 1, depth + 1) if constants.rho * 2.0 ** (-2 * j) >= grid.h]
+    return [j for j in range(j0 + 1, 9) if constants.rho * 2.0 ** (-2 * j) >= grid.h]
 
 
 def _cmd_harness(args: argparse.Namespace) -> int:
@@ -302,8 +284,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     poisson_smooth(f, 0.05)
     rows.append(("poisson_smooth", time.perf_counter() - t0))
-
-    from .fields import extremal_conv_field
 
     t0 = time.perf_counter()
     extremal_conv_field(f.values, grid, cutoff, (0.0625, 0.125), "absmax")

@@ -90,11 +90,11 @@ def carve_block_arcs(
     return RasterSet(grid, bitmap)
 
 
-def checkerboard(n: int, block_cells: int, solid_first: bool = True) -> RasterSet:
-    """Alternating solid blocks of the given cell size on the unit window."""
+def checkerboard(n: int, block_cells: int) -> RasterSet:
+    """Alternating blocks of the given cell size on the unit window, solid at the origin."""
     if n % block_cells != 0:
         raise ValueError(f"block size {block_cells} must divide n = {n}")
     k = n // block_cells
-    tile = (np.add.outer(np.arange(k), np.arange(k)) % 2) == (0 if solid_first else 1)
+    tile = (np.add.outer(np.arange(k), np.arange(k)) % 2) == 0
     bitmap = np.kron(tile, np.ones((block_cells, block_cells), dtype=bool))
     return RasterSet(GridSpec(n), bitmap)

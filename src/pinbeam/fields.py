@@ -10,20 +10,22 @@ and so do their powers, so a scale's groups are runs of adjacent nodes and
 come in (dx, dy) order: one pass marks where runs start, and one bincount
 sums each run's weights in node order.
 
-The engine adds each group with one BLAS daxpy.  Each call copies q once
-into a zero-padded buffer whose rows are widened by the largest column
-shifts either way.  Viewed flat, the shifted copy that one group adds over
-a run of output rows is then a single contiguous slice of that buffer, so
-daxpy updates the accumulator in place from contiguous memory: a cell whose
-shifted sample falls outside q reads a padded zero and adds +0.0, which
-leaves the sum unchanged, and the accumulator columns past the window are
-computed and discarded.  Output rows whose shifted row lies outside q
-receive no term from that group, and groups shifted by a whole window or
-more are dropped.  One pass over all rows runs the scale loop; OpenBLAS
-threads inside each daxpy (daxpy holds the interpreter lock, so Python
-threads would gain nothing).  Terms are added in sorted group order, and
-each element of a daxpy is computed on its own, so how OpenBLAS splits the
-vector among its threads changes no bit.
+Shifts are nonnegative: nodes are positive and beta > 0, so for a scale
+t > 0, the only scales the engine takes, floor(1/2 + (t/h) u) and
+floor(1/2 + (t/h) u^beta) are at least 0.  The engine adds each group with
+one BLAS daxpy.  Each call copies q once into a zero-padded buffer whose
+rows are widened on the far side by the largest column shift.  Viewed flat,
+the shifted copy that one group adds over a run of output rows is then a
+single contiguous slice of that buffer, so daxpy updates the accumulator in
+place from contiguous memory: a cell whose shifted sample falls outside q
+reads a padded zero and adds +0.0, which leaves the sum unchanged, and the
+accumulator columns past the window are computed and discarded.  Output
+rows whose shifted row lies past q receive no term from that group, and
+groups shifted by a whole window or more are dropped.  One pass over all
+rows runs the scale loop; OpenBLAS threads inside each daxpy (daxpy holds
+the interpreter lock, so Python threads would gain nothing).  Terms are
+added in sorted group order, and each element of a daxpy is computed on its
+own, so how OpenBLAS splits the vector among its threads changes no bit.
 
 Rounding: on x86-64 CPUs with fused multiply-add (Haswell and later)
 OpenBLAS's daxpy kernels compute acc + w*q with one rounding per group term,
@@ -90,10 +92,10 @@ def shift_table(cutoff: Cutoff, grid: GridSpec, ts: np.ndarray):
 def _extremal(q, dx, dy, w, tptr, base, absolute, out):
     """Fill out with the per-cell extremum over scales.
 
-    Group g adds w[g] * q[r + dy[g], c + dx[g]] to cell (r, c).  `base` may
-    be None (subtracting zero changes no value).  With `absolute` the
-    extremum is of |average - base|.  Groups whose shift is at least the
-    window size in either direction are skipped.
+    Group g adds w[g] * q[r + dy[g], c + dx[g]] to cell (r, c); the shifts
+    dx, dy are nonnegative.  `base` may be None (subtracting zero changes no
+    value).  With `absolute` the extremum is of |average - base|.  Groups
+    shifted by at least the window size in either direction are skipped.
     """
     # Loaded on the first run, not at import: scipy.linalg would add about
     # 6 MB of memory and 0.1 s of start-up (x86-64, scipy 1.17) to every
@@ -101,15 +103,14 @@ def _extremal(q, dx, dy, w, tptr, base, absolute, out):
     from scipy.linalg.blas import daxpy
 
     n = q.shape[0]
-    keep = (np.abs(dx) < n) & (np.abs(dy) < n)
+    keep = (dx < n) & (dy < n)
     tptr = np.concatenate([[0], np.cumsum(keep)])[tptr].tolist()
     dx, dy, w = dx[keep], dy[keep], w[keep]
-    lo = -int(dx.min(initial=0))
-    width = lo + n + int(dx.max(initial=0))
-    # Rows of q with lo zeros before and the rest of width after each, plus
-    # one zero row so that a window starting in the last row stays inside.
+    width = n + int(dx.max(initial=0))
+    # Rows of q with zeros after each up to width, plus one zero row so that
+    # a window starting in the last row stays inside.
     qf = np.zeros((n + 1, width))
-    qf[:n, lo : lo + n] = q
+    qf[:n, :n] = q
     qf = qf.ravel()
     acc = np.empty(n * width)
     ext = np.empty(n * width)
@@ -117,12 +118,11 @@ def _extremal(q, dx, dy, w, tptr, base, absolute, out):
         b = np.zeros((n, width))
         b[:, :n] = base
         b = b.ravel()
-    groups = list(zip((dx + lo).tolist(), dy.tolist(), w.tolist()))
+    groups = list(zip(dx.tolist(), dy.tolist(), w.tolist()))
     for k in range(len(tptr) - 1):
         acc.fill(0.0)
         for sx, sy, wg in groups[tptr[k] : tptr[k + 1]]:
-            r0 = max(0, -sy)
-            daxpy(qf, acc, n=(n - abs(sy)) * width, a=wg, offx=(r0 + sy) * width + sx, offy=r0 * width)
+            daxpy(qf, acc, n=(n - sy) * width, a=wg, offx=sy * width + sx, offy=0)
         if base is not None:
             np.subtract(acc, b, out=acc)
         if absolute:
@@ -158,7 +158,7 @@ def extremal_conv_field(
     mode 'max' tracks the signed maximum of the average, 'absmax' the
     maximum of |average - base|.  `base` defaults to zero.  Evaluation is at
     cell centers through bare integer shifts: samples outside the window, and
-    on its far edge, read 0.
+    on its far edge, read 0.  Every scale in `ts` must be positive.
     Repeated requests are answered from the store described in the module
     docstring.
     """
@@ -166,6 +166,8 @@ def extremal_conv_field(
     if ts is None:
         ts = t_grid(c, b, grid.h, support_radius(cutoff.params), min_per_octave)
     ts = np.ascontiguousarray(ts, dtype=np.float64)
+    if not (ts > 0).all():
+        raise ValueError(f"scales must be positive, got {ts[~(ts > 0)][0]}")
     q = np.ascontiguousarray(q, dtype=np.float64)
     if base is not None:
         base = np.ascontiguousarray(base, dtype=np.float64)

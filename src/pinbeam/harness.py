@@ -56,15 +56,13 @@ __all__ = [
 class HarnessConstants:
     """Concrete stand-ins for the ineffective constants of the analysis.
 
-    tau is the boundary-margin allowance, rho the dyadic smoothing split;
-    p, alpha, c0 are recorded config used for default rules and reports.
+    tau is the boundary-margin allowance, rho the dyadic smoothing split, p
+    the square sums' exponent; alpha and c0 enter only ``for_density``.
     """
 
     tau: float
     rho: float
     p: float = 3.0
-    alpha: float = 0.1
-    c0: float = 0.25
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -86,7 +84,13 @@ class HarnessConstants:
             tau = c0 * delta * delta / 8.0
         if rho is None:
             rho = dyadic_round_down(min(delta ** (2.0 / alpha), delta * delta) / 8.0)
-        return cls(tau=tau, rho=rho, p=p, alpha=alpha, c0=c0)
+        return cls(tau=tau, rho=rho, p=p)
+
+
+def _field(grid, values: np.ndarray) -> ScalarField:
+    """Wrap a fresh array read-only, which ScalarField keeps uncopied."""
+    values.setflags(write=False)
+    return ScalarField(grid, values)
 
 
 def pairing(a: RasterSet, field: ScalarField) -> float:
@@ -206,8 +210,8 @@ def compute_decomposition(
     t2 = sup_abs(eg.values - p_lo.values)
     t3 = sup_abs(p_lo.values - p_hi.values)
 
-    lhs = pairing(a, ScalarField(grid, lhs_field))
-    terms = [pairing(a, ScalarField(grid, tf)) for tf in (t1, t2, t3, t4)]
+    lhs = pairing(a, _field(grid, lhs_field))
+    terms = [pairing(a, _field(grid, tf)) for tf in (t1, t2, t3, t4)]
     tail = pairing(a, p_hi)
 
     total = sum(terms) + tail
@@ -329,8 +333,8 @@ def compute_sq_sums(
     s1, s2 = [], []
     for (_, _, k_j), p_lo, p_hi in zip(blocks, smooth[::2], smooth[1::2]):
         eg = martingale_average(g, k_j)
-        s1.append(lp_norm(ScalarField(grid, p_hi.values - p_lo.values), p) ** p)
-        s2.append(lp_norm(ScalarField(grid, p_lo.values - eg.values), p) ** p)
+        s1.append(lp_norm(_field(grid, p_hi.values - p_lo.values), p) ** p)
+        s2.append(lp_norm(_field(grid, p_lo.values - eg.values), p) ** p)
     sum1, sum2 = sum(s1), sum(s2)
     thresh = 2.0 * max(sum1, sum2) / (j_hi - j0)
     selected = next(
@@ -378,7 +382,7 @@ def empirical_decay(
         h_field.values, h_field.grid, cutoff, (2.0 ** (-n), 2.0 ** (-n + 1)),
         "absmax", min_per_octave=min_per_octave,
     )
-    return lp_norm(ScalarField(h_field.grid, sup), p) / denom
+    return lp_norm(_field(h_field.grid, sup), p) / denom
 
 
 def decay_sweep(

@@ -200,8 +200,9 @@ def _tmp_path(path: Path) -> Path:
     return path.with_name(path.name + ".tmp")
 
 
-def save_raster(a: RasterSet, path, write_sidecar: bool | None = None) -> None:
-    """Write the bitmap, and its window to a sidecar, each via a temp file.
+def save_raster(a: RasterSet, path) -> None:
+    """Write the bitmap, and a window other than the unit square to a
+    sidecar, each via a temp file.
 
     Both files are complete before either is moved into place, so a failed
     write leaves an earlier raster at ``path`` as it was.  On failure the
@@ -211,20 +212,19 @@ def save_raster(a: RasterSet, path, write_sidecar: bool | None = None) -> None:
     n = a.grid.n
     body = np.full((n, n + 1), ord("\n"), dtype=np.uint8)
     body[:, :n] = np.where(a.bitmap, ord("1"), ord("0"))
-    default_window = a.grid.origin == (0.0, 0.0) and a.grid.side == 1.0
     sidecar = _sidecar_path(path)
     body_tmp, sidecar_tmp = _tmp_path(path), _tmp_path(sidecar)
     try:
         body_tmp.write_bytes(f"PB {n}\n".encode() + body.tobytes())
-        if write_sidecar or (write_sidecar is None and not default_window):
+        if a.grid == GridSpec(n):
+            os.replace(body_tmp, path)
+            # A sidecar left by an earlier save would give this raster its window.
+            sidecar.unlink(missing_ok=True)
+        else:
             meta = {"window_origin": list(a.grid.origin), "window_side": a.grid.side}
             sidecar_tmp.write_text(json.dumps(meta))
             os.replace(body_tmp, path)
             os.replace(sidecar_tmp, sidecar)
-        else:
-            os.replace(body_tmp, path)
-            # A sidecar left by an earlier save would give this raster its window.
-            sidecar.unlink(missing_ok=True)
     except BaseException:
         body_tmp.unlink(missing_ok=True)
         sidecar_tmp.unlink(missing_ok=True)

@@ -16,11 +16,13 @@ import hashlib
 import io
 import json
 import os
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .harness import DecompositionReport, SmallTReport, SqSumReport
 from .prospect import BeamCertificate, BeamSample, ExhaustionReport, ScaleLadder
 
@@ -39,7 +41,6 @@ __all__ = [
     "sha256_file",
 ]
 
-TOOL_VERSION = "0.1.0"
 EXHAUSTION_SCHEMA = 2
 
 
@@ -210,7 +211,19 @@ class RunConfig:
         return asdict(self)
 
     @classmethod
+    def key_types(cls) -> dict[str, type]:
+        """Each key's annotated type, ``float | None`` read as float."""
+        return {k: (typing.get_args(t) or (t,))[0] for k, t in typing.get_type_hints(cls).items()}
+
+    @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Keys left out keep their defaults.  A JSON int serves for a real (a
+        bool does not), and null only where the default is null."""
+        for name, typ in cls.key_types().items():
+            value = d.get(name)
+            ok = type(value) in ((int, float) if typ is float else (typ,))
+            if name in d and not (ok or value is None and getattr(cls, name) is None):
+                raise ValueError(f"config key {name!r} must be {typ.__name__}, got {value!r}")
         extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
@@ -226,7 +239,7 @@ class RunReport:
     outcome: str
     timings: dict = field(default_factory=dict)
     input_digests: dict = field(default_factory=dict)
-    version: str = TOOL_VERSION
+    version: str = __version__
 
     def to_dict(self) -> dict:
         return asdict(self)

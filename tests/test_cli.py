@@ -193,6 +193,33 @@ class TestReportsRoundTrip:
         with pytest.raises(ValueError, match="unknown config"):
             RunConfig.from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("body,message", [
+        ({"n": "512"}, "config key 'n' must be int, got '512'"),
+        ({"beta": True}, "config key 'beta' must be float, got True"),
+        ({"outdir": None}, "config key 'outdir' must be str, got None"),
+    ], ids=["string-int", "bool-real", "null-str"])
+    def test_config_from_dict_checks_types(self, body, message):
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_dict(body)
+        assert str(exc.value) == message
+
+    def test_config_keys_and_types_come_from_run_config(self):
+        types = RunConfig.key_types()
+        assert list(types) == list(RunConfig.__dataclass_fields__)
+        assert (types["n"], types["rho"], types["subsample"], types["outdir"]) == (
+            int, float, int, str)
+
+    def test_run_report_version_is_the_project_version(self):
+        import tomllib
+        from pathlib import Path
+
+        import pinbeam
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        version = tomllib.loads(pyproject.read_text())["project"]["version"]
+        assert pinbeam.__version__ == version
+        assert reports.RunReport(RunConfig(), "certificate").version == version
+
 
 class TestGen:
     def test_deterministic_byte_identical(self, tmp_path):
@@ -214,6 +241,12 @@ class TestGen:
         out = tmp_path / "f.pb"
         assert main(["gen", "--kind", "full", "--n", "64", "--out", str(out)]) == EXIT_OK
         assert load_raster(out).bitmap.all()
+
+    def test_unit_window_writes_no_sidecar(self, tmp_path):
+        out = tmp_path / "f.pb"
+        assert main(["gen", "--kind", "full", "--n", "64", "--out", str(out)]) == EXIT_OK
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["f.pb"]
+        assert load_raster(out).grid == GridSpec(64)
 
     def test_stripes_kind(self, tmp_path):
         out = tmp_path / "s.pb"

@@ -113,10 +113,10 @@ def reference_extremal(q, dx, dy, w, tptr, base, absolute, out):
 
 
 def hand_table(n):
-    """Three scales of shifts, negative ones and ones at n - 1, n and beyond
+    """Three scales of nonnegative shifts, ones at n - 1, n and beyond
     included; the last scale has no group inside the window."""
-    dx = np.array([-3, 0, 0, 2, n - 1, n, -(n - 1), 1, -n, 5, n + 4, -(n + 2)])
-    dy = np.array([1, -2, 0, n - 1, 0, 3, -1, -(n - 1), 0, n + 1, 0, 2])
+    dx = np.array([3, 0, 0, 2, n - 1, n, n - 1, 1, 0, 5, n + 4, n + 2])
+    dy = np.array([1, 2, 0, n - 1, 0, 3, 1, n - 1, n, n + 1, 0, 2])
     tptr = np.array([0, 5, 9, 12])
     w = np.random.default_rng(3).random(dx.shape[0])
     return dx, dy, w, tptr
@@ -384,3 +384,11 @@ def test_unknown_mode_names_the_accepted_ones(small_case):
     grid, cutoff, q, interval, ts = small_case
     with pytest.raises(ValueError, match="mode must be 'max' or 'absmax', got 'min'"):
         extremal_conv_field(q, grid, cutoff, interval, "min")
+
+
+@pytest.mark.parametrize("ts", [[-0.1, 0.1], [0.0, 0.1], [0.1, math.nan]],
+                         ids=["negative", "zero", "nan"])
+def test_scales_that_are_not_positive_are_refused(small_case, ts):
+    grid, cutoff, q, interval, _ = small_case
+    with pytest.raises(ValueError, match="scales must be positive"):
+        extremal_conv_field(q, grid, cutoff, interval, "max", ts=ts)
