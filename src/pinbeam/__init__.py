@@ -20,7 +20,6 @@ from .kernel import (
     build_cutoff,
     curve_average,
     param_from_scale,
-    scale_from_param,
     support_radius,
     validate_params,
 )
@@ -36,7 +35,6 @@ from .prospect import (
     dyadic_round_up,
     find_dense_window,
     j_bound,
-    ladder_from_coefficients,
     normalize_window,
     prospect,
     verify_certificate,
@@ -59,11 +57,8 @@ from .smoothing import (
     lp_norm,
     martingale_average,
     martingale_difference,
-    poisson_kernel,
     poisson_smooth,
     poisson_smooth_multi,
-    square_function_s1,
-    square_function_s2,
 )
 
 __version__ = "0.1.0"

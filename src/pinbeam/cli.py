@@ -119,7 +119,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     elif args.kind == "full":
         raster = RasterSet(grid, np.ones((cfg.n, cfg.n), dtype=bool))
     elif args.kind == "blocks":
-        cells = args.block_cells or max(1, cfg.n // 8)
+        cells = max(1, cfg.n // 8) if args.block_cells is None else args.block_cells
         raster = constructions.checkerboard(cfg.n, cells)
     elif args.kind == "stripes":
         params = _params(cfg)
@@ -145,7 +145,9 @@ def _cmd_prospect(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     raster = load_raster(args.input)
     params = _params(cfg)
-    depth = args.ladder_depth or j_bound(min(cfg.delta, 0.5), cfg.cprime)
+    depth = args.ladder_depth
+    if depth is None:
+        depth = j_bound(min(cfg.delta, 0.5), cfg.cprime)
     ladder = default_ladder(depth)
     outcome = prospect(raster, ladder, params, _sampling(cfg))
     elapsed = time.perf_counter() - t0

@@ -92,6 +92,8 @@ def carve_block_arcs(
 
 def checkerboard(n: int, block_cells: int) -> RasterSet:
     """Alternating blocks of the given cell size on the unit window, solid at the origin."""
+    if block_cells < 1:
+        raise ValueError(f"need block_cells >= 1, got {block_cells}")
     if n % block_cells != 0:
         raise ValueError(f"block size {block_cells} must divide n = {n}")
     k = n // block_cells

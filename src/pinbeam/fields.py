@@ -158,7 +158,7 @@ def extremal_conv_field(
     mode 'max' tracks the signed maximum of the average, 'absmax' the
     maximum of |average - base|.  `base` defaults to zero.  Evaluation is at
     cell centers through bare integer shifts: samples outside the window, and
-    on its far edge, read 0.  Every scale in `ts` must be positive.
+    on its far edge, read 0.  `ts` needs at least one scale, each positive.
     Repeated requests are answered from the store described in the module
     docstring.
     """
@@ -166,6 +166,8 @@ def extremal_conv_field(
     if ts is None:
         ts = t_grid(c, b, grid.h, support_radius(cutoff.params), min_per_octave)
     ts = np.ascontiguousarray(ts, dtype=np.float64)
+    if not ts.size:
+        raise ValueError("need at least one scale")
     if not (ts > 0).all():
         raise ValueError(f"scales must be positive, got {ts[~(ts > 0)][0]}")
     q = np.ascontiguousarray(q, dtype=np.float64)

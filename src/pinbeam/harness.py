@@ -80,6 +80,8 @@ class HarnessConstants:
         min(delta^(2/alpha), delta^2)/8."""
         if not (0 < delta <= 1):
             raise ValueError(f"need 0 < delta <= 1, got {delta}")
+        if not alpha > 0:
+            raise ValueError(f"need alpha > 0, got {alpha}")
         if tau is None:
             tau = c0 * delta * delta / 8.0
         if rho is None:

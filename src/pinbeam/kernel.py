@@ -26,7 +26,6 @@ __all__ = [
     "cell_shifts",
     "curve_average",
     "param_from_scale",
-    "scale_from_param",
     "support_radius",
     "t_grid",
     "validate_params",
@@ -118,15 +117,6 @@ def param_from_scale(t: float, beta: float) -> float:
     if not t > 0:
         raise ValueError(f"scale must be positive, got {t}")
     return _pow_dyadic_aware(t, 1.0 - beta)
-
-
-def scale_from_param(a: float, beta: float) -> float:
-    """Inverse of param_from_scale: t = a^(1/(1-beta))."""
-    if beta == 1.0:
-        raise ValueError("linear case excluded: beta = 1")
-    if not a > 0:
-        raise ValueError(f"coefficient must be positive, got {a}")
-    return _pow_dyadic_aware(a, 1.0 / (1.0 - beta))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .kernel import (
     build_cutoff,
     cell_shifts,
     param_from_scale,
-    scale_from_param,
     support_radius,
     t_grid,
     validate_params,
@@ -60,7 +59,6 @@ __all__ = [
     "find_dense_window",
     "is_dyadic",
     "j_bound",
-    "ladder_from_coefficients",
     "normalize_window",
     "prospect",
     "verify_certificate",
@@ -84,16 +82,16 @@ def is_dyadic(x: float) -> bool:
 
 def dyadic_round_up(x: float) -> float:
     """Smallest power of two >= x."""
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x}")
+    if not (x > 0 and math.isfinite(x)):
+        raise ValueError(f"need finite x > 0, got {x}")
     m, e = math.frexp(x)
     return x if m == 0.5 else math.ldexp(1.0, e)
 
 
 def dyadic_round_down(x: float) -> float:
     """Largest power of two <= x."""
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x}")
+    if not (x > 0 and math.isfinite(x)):
+        raise ValueError(f"need finite x > 0, got {x}")
     m, e = math.frexp(x)
     return x if m == 0.5 else math.ldexp(0.5, e)
 
@@ -146,24 +144,6 @@ def j_bound(delta: float, cprime: float) -> int:
     if cprime < 1:
         raise ValueError(f"need cprime >= 1, got {cprime}")
     return int(math.floor(delta**-cprime)) + 1
-
-
-def ladder_from_coefficients(b_coeffs, c_coeffs, r: float, beta: float) -> ScaleLadder:
-    """Ladder induced by coefficient bounds C_1 > B_1 > ... on a 2R window.
-
-    Block j takes the scale of B_{J+1-j} rounded up to a dyadic and the
-    scale of C_{J+1-j} rounded down, after normalizing lengths by 2R.  The
-    interleaving invariant is enforced post-rounding.
-    """
-    if len(b_coeffs) != len(c_coeffs):
-        raise ValueError("coefficient lists must have equal length")
-    depth = len(b_coeffs)
-    entries = []
-    for j in range(1, depth + 1):
-        t_hi = scale_from_param(b_coeffs[depth - j], beta)
-        t_lo = scale_from_param(c_coeffs[depth - j], beta)
-        entries.append((dyadic_round_up(t_hi / (2 * r)), dyadic_round_down(t_lo / (2 * r))))
-    return ScaleLadder(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

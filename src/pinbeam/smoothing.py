@@ -1,4 +1,4 @@
-"""Poisson smoothing, dyadic martingale averages, and square functions.
+"""Poisson smoothing, dyadic martingale averages, and Lp norms.
 
 The Poisson kernel is sampled at cell-center displacements, truncated, and
 renormalized so its discrete mass is exactly 1.  Convolution takes one
@@ -67,19 +67,11 @@ __all__ = [
     "lp_norm",
     "martingale_average",
     "martingale_difference",
-    "poisson_kernel",
     "poisson_smooth",
     "poisson_smooth_multi",
-    "square_function_s1",
-    "square_function_s2",
 ]
 
 TRUNCATION_FACTOR = 50.0
-
-
-def poisson_point(t: float, x, y):
-    """Closed-form kernel value t / (2 pi (t^2 + x^2 + y^2)^(3/2))."""
-    return t / (2.0 * math.pi * (t * t + np.asarray(x) ** 2 + np.asarray(y) ** 2) ** 1.5)
 
 
 def _kernel_radius(grid: GridSpec, t: float) -> int:
@@ -101,7 +93,8 @@ def _kernel_quarter(grid: GridSpec, t: float) -> np.ndarray:
     rad = _kernel_radius(grid, t)
     d = np.arange(rad + 1) * h
     d2 = d * d
-    # poisson_point's arithmetic, in its order, built in one quarter-sized array
+    # the closed form t / (2 pi (t^2 + x^2 + y^2)^(3/2)), in its order of
+    # operations, built in one quarter-sized array
     q = np.add(t * t, d2[:, None], out=np.empty((d.size, d.size)))
     q += d2
     q **= 1.5
@@ -115,20 +108,6 @@ def _kernel_quarter(grid: GridSpec, t: float) -> np.ndarray:
     mass = 4.0 * q.sum() - 2.0 * (q[0].sum() + q[:, 0].sum()) + q[0, 0]
     q /= mass * (h * h)
     return q
-
-
-def poisson_kernel(grid: GridSpec, t: float) -> np.ndarray:
-    """Truncated, renormalized Poisson kernel sampled at cell displacements.
-
-    phi_t(x, y) = t / (2 pi (t^2 + x^2 + y^2)^(3/2)), kept on the disc of
-    radius 50 t (capped at the window extent, beyond which displacements
-    cannot occur between window cells) and rescaled so the discrete mass
-    h^2 * sum equals 1.  The (2R + 1)^2 array, displacement 0 at [R, R], is
-    mirrored from the quarter that smoothing uses.
-    """
-    q = _kernel_quarter(grid, t)
-    idx = np.abs(np.arange(1 - q.shape[0], q.shape[0]))
-    return q[idx[:, None], idx]
 
 
 _kernel_spectra = LRUCache()
@@ -231,40 +210,8 @@ def martingale_difference(field: ScalarField, i: int) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# Square functions and norms.
+# Norms.
 # ---------------------------------------------------------------------------
-
-
-def square_function_s1(field: ScalarField, i_lo: int, i_hi: int) -> ScalarField:
-    """Pointwise l2 aggregate of consecutive Poisson differences.
-
-    sqrt(sum_{i=i_lo}^{i_hi} |P_{2^{-i+1}} h - P_{2^{-i}} h|^2).
-    """
-    if i_lo > i_hi:
-        raise ValueError(f"empty level range [{i_lo}, {i_hi}]")
-    scales = [2.0 ** (-i + 1) for i in range(i_lo, i_hi + 1)] + [2.0 ** (-i_hi)]
-    smooth = poisson_smooth_multi(field, scales)
-    acc = np.zeros_like(field.values)
-    for j in range(len(scales) - 1):
-        diff = smooth[j].values - smooth[j + 1].values
-        acc += diff * diff
-    return ScalarField(field.grid, np.sqrt(acc))
-
-
-def square_function_s2(field: ScalarField, i_lo: int, i_hi: int) -> ScalarField:
-    """Pointwise l2 aggregate of Poisson-vs-martingale differences.
-
-    sqrt(sum_{i=i_lo}^{i_hi} |P_{2^{-i}} h - E_i h|^2).
-    """
-    if i_lo > i_hi:
-        raise ValueError(f"empty level range [{i_lo}, {i_hi}]")
-    levels = list(range(i_lo, i_hi + 1))
-    smooth = poisson_smooth_multi(field, [2.0 ** (-i) for i in levels])
-    acc = np.zeros_like(field.values)
-    for sm, i in zip(smooth, levels):
-        diff = sm.values - martingale_average(field, i).values
-        acc += diff * diff
-    return ScalarField(field.grid, np.sqrt(acc))
 
 
 def lp_norm(field: ScalarField, p: float) -> float:

@@ -248,6 +248,15 @@ class TestGen:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["f.pb"]
         assert load_raster(out).grid == GridSpec(64)
 
+    def test_zero_block_cells_refused(self, tmp_path, capsys):
+        # 0 is a value, not a request for the n/8 default
+        out = tmp_path / "b.pb"
+        rc = main(["gen", "--kind", "blocks", "--n", "64", "--block-cells", "0",
+                   "--out", str(out)])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == "error: need block_cells >= 1, got 0\n"
+        assert not out.exists()
+
     def test_stripes_kind(self, tmp_path):
         out = tmp_path / "s.pb"
         rc = main(["gen", "--kind", "stripes", "--n", "256", "--theta", "1.05",
@@ -284,6 +293,17 @@ class TestProspectCmd:
         rc = main(["prospect", "--input", str(raster), "--out", str(tmp_path / "c.json"),
                    "--beta", "1.0"])
         assert rc == EXIT_ERROR
+
+    def test_zero_ladder_depth_refused(self, tmp_path, capsys):
+        # 0 is a value, not a request for j_bound's depth
+        raster = tmp_path / "a.pb"
+        save_raster(full_square(64), raster)
+        out = tmp_path / "c.json"
+        rc = main(["prospect", "--input", str(raster), "--out", str(out),
+                   "--nodes", "32", "--ladder-depth", "0"])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == "error: need depth >= 1, got 0\n"
+        assert not out.exists()
 
     def test_exhaustion_exit_code(self, tmp_path):
         raster = tmp_path / "a.pb"
@@ -467,6 +487,18 @@ class TestHarnessCmd:
         with pytest.raises(ResolutionError) as exc:
             compute_sq_sums(load_raster(raster), default_ladder(3), 1, 3, constants)
         assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_zero_alpha_refused(self, tmp_path, capsys, engine_runs):
+        # delta^(2/alpha) sets the default rho; alpha = 0 must not divide by zero
+        raster = tmp_path / "a.pb"
+        save_raster(generate_random(GridSpec(64), 0.4, 3), raster)
+        outdir = tmp_path / "out"
+        rc = main(["harness", "--input", str(raster), "--alpha", "0",
+                   "--outdir", str(outdir)])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == "error: need alpha > 0, got 0.0\n"
+        assert engine_runs == []
+        assert not outdir.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         raster = tmp_path / "a.pb"

@@ -392,3 +392,10 @@ def test_scales_that_are_not_positive_are_refused(small_case, ts):
     grid, cutoff, q, interval, _ = small_case
     with pytest.raises(ValueError, match="scales must be positive"):
         extremal_conv_field(q, grid, cutoff, interval, "max", ts=ts)
+
+
+def test_empty_scales_are_refused(small_case):
+    # with no scale there is no extremum; the output would be left unwritten
+    grid, cutoff, q, interval, _ = small_case
+    with pytest.raises(ValueError, match="at least one scale"):
+        extremal_conv_field(q, grid, cutoff, interval, "max", ts=[])

@@ -50,6 +50,11 @@ class TestConstants:
         assert 2 * c.rho > min(0.4 ** (2 / 0.1), 0.4**2) / 8.0  # largest such dyadic
         assert math.frexp(c.rho)[0] == 0.5  # dyadic
 
+    def test_alpha_must_be_positive(self):
+        for alpha in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                HarnessConstants.for_density(0.4, alpha=alpha)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             HarnessConstants(tau=0.0, rho=0.5)

@@ -25,7 +25,6 @@ from pinbeam import (
     find_dense_window,
     generate_random,
     j_bound,
-    ladder_from_coefficients,
     measure,
     normalize_window,
     param_from_scale,
@@ -77,17 +76,6 @@ class TestLadder:
         with pytest.raises(ValueError, match="dyadic"):
             ScaleLadder(((0.5, 0.3),))
 
-    def test_from_coefficient_bounds(self):
-        # coefficient pairs C_1 > B_1 > C_2 > B_2 map to an interleaved
-        # scale ladder, big scales first
-        lad = ladder_from_coefficients([300.0, 10.0], [1000.0, 30.0], r=0.5, beta=2.0)
-        assert lad.depth == 2
-        assert lad.entries == ((0.125, 1.0 / 32), (1.0 / 256, 1.0 / 1024))
-        seq = [1.0]
-        for b, c in lad.entries:
-            seq += [b, c]
-        assert all(x > y for x, y in zip(seq, seq[1:]))
-
 
 class TestJBound:
     def test_reference_values(self):
@@ -114,6 +102,9 @@ class TestDyadicRounding:
             dyadic_round_up(0.0)
         with pytest.raises(ValueError):
             dyadic_round_down(-1.0)
+        for rounding in (dyadic_round_up, dyadic_round_down):
+            with pytest.raises(ValueError):
+                rounding(math.inf)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=1e-300, max_value=1e300))
@@ -564,6 +555,11 @@ class TestDenseWindow:
         res = find_dense_window(RasterSet(GridSpec(n), bm), 0.4, [0.25])
         assert res.found and res.ratio >= 0.4
         assert res.center[0] < 0.5 + 0.25  # window sits in the left part
+
+    def test_checkerboard_block_cells_below_one_refused(self):
+        for cells in (0, -1):
+            with pytest.raises(ValueError, match="block_cells"):
+                checkerboard(32, cells)
 
     def test_checkerboard_finds_solid_block(self):
         # blocks of side 2R at density 1/2: a solid block window has ratio 1

@@ -20,16 +20,25 @@ from pinbeam import (
     martingale_average,
     martingale_difference,
     measure,
-    poisson_kernel,
     poisson_smooth,
     poisson_smooth_multi,
-    square_function_s1,
-    square_function_s2,
 )
 import pinbeam.smoothing as smoothing
-from pinbeam.smoothing import poisson_point
 
 from conftest import full_square
+
+
+def poisson_point(t, x, y):
+    """Closed-form kernel value t / (2 pi (t^2 + x^2 + y^2)^(3/2))."""
+    return t / (2.0 * math.pi * (t * t + np.asarray(x) ** 2 + np.asarray(y) ** 2) ** 1.5)
+
+
+def poisson_kernel(grid, t):
+    """The full (2R + 1)^2 kernel, displacement 0 at [R, R], mirrored from the
+    quarter that smoothing builds."""
+    q = smoothing._kernel_quarter(grid, t)
+    idx = np.abs(np.arange(1 - q.shape[0], q.shape[0]))
+    return q[idx[:, None], idx]
 
 
 def rand_field(n, seed=0, scale=1.0):
@@ -475,58 +484,6 @@ class TestMartingale:
         for m in range(steps):
             acc += martingale_difference(h, k + m).values
         assert np.abs(acc - martingale_average(h, k + steps).values).max() <= 1e-12
-
-
-class TestSquareFunctions:
-    def test_constant_gives_zero(self):
-        # fields are zero-extended outside the window, so the constant claim
-        # holds where every truncated kernel support stays inside: levels
-        # 8..9 keep the radius at 50 * 2^-7 < 0.4 of the center cells
-        n = 512
-        g = GridSpec(n)
-        c = ScalarField(g, np.full((n, n), 2.0))
-        margin = math.ceil(50 * 2.0**-7 / g.h) + 1
-        s1 = square_function_s1(c, 8, 9).values[margin:-margin, margin:-margin]
-        s2 = square_function_s2(c, 8, 9).values[margin:-margin, margin:-margin]
-        assert s1.max() < 1e-9
-        assert s2.max() < 1e-9
-
-    def test_nonnegative(self):
-        h = rand_field(64, 10)
-        assert (square_function_s1(h, 1, 6).values >= 0).all()
-        assert (square_function_s2(h, 1, 6).values >= 0).all()
-
-    def test_single_cell_s2_finite(self):
-        n = 64
-        bm = np.zeros((n, n), dtype=bool)
-        bm[10, 10] = True
-        from pinbeam import RasterSet
-
-        f = indicator(RasterSet(GridSpec(n), bm))
-        s2 = square_function_s2(f, 1, 6)
-        assert np.isfinite(s2.values).all()
-
-    def test_s1_norm_ratio_finite_and_stable_under_refinement(self):
-        ratios = {}
-        for n in (128, 256):
-            worst = 0.0
-            for seed in range(5):
-                h = rand_field(n, seed)
-                s1 = square_function_s1(h, 1, round(math.log2(n)))
-                worst = max(worst, lp_norm(s1, 3.0) / lp_norm(h, 3.0))
-            ratios[n] = worst
-        assert all(np.isfinite(r) for r in ratios.values())
-        assert ratios[256] == pytest.approx(ratios[128], rel=0.25)
-
-    def test_s2_norm_ratio_stable_across_three_resolutions(self):
-        ratios = {}
-        for n in (128, 256, 512):
-            h = rand_field(n, 1)
-            s2 = square_function_s2(h, 1, round(math.log2(n)))
-            ratios[n] = lp_norm(s2, 3.0) / lp_norm(h, 3.0)
-        base = ratios[128]
-        assert ratios[256] == pytest.approx(base, rel=0.25)
-        assert ratios[512] == pytest.approx(base, rel=0.25)
 
 
 class TestLpNorm:
