@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -272,7 +274,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     params = _params(cfg)
     cutoff = build_cutoff(params, cfg.nodes, cfg.plateau_frac)
 
-    rows = []
+    # What every command pays before its work: a fresh interpreter importing
+    # the CLI.  VmHWM, not ru_maxrss, which Linux carries across exec.
+    src = str(Path(__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = ("import pinbeam.cli\nprint(next(line.split()[1] for line in open('/proc/self/status')"
+             " if line.startswith('VmHWM:')))")
+    t0 = time.perf_counter()
+    child = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                           capture_output=True, text=True, check=True, timeout=60)
+    rows = [("cold start", time.perf_counter() - t0)]
+    cold_start_kb = int(child.stdout)
+
     t0 = time.perf_counter()
     raster = generate_random(grid, cfg.delta, cfg.seed)
     rows.append(("generate_random", time.perf_counter() - t0))
@@ -282,6 +295,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for _ in range(1000):
         curve_average(f, 0.25, (0.3, 0.3), cutoff)
     rows.append(("curve_average x1000", time.perf_counter() - t0))
+
+    # Smoothing loads scipy.fft on first use; time that apart from the work.
+    t0 = time.perf_counter()
+    import scipy.fft  # noqa: F401
+    rows.append(("scipy.fft import", time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     poisson_smooth(f, 0.05)
@@ -328,6 +346,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     for name, dt in rows:
         print(f"{name:24s} {dt * 1000:10.1f} ms")
+    print(f"{'cold start VmHWM':24s} {cold_start_kb / 1024:10.1f} MB")
     return EXIT_OK
 
 

@@ -520,6 +520,8 @@ def verify_certificate(
     interval is re-derived from the scale interval.  Any discrepancy is
     reported with the offending sample or scale.
     """
+    if not refinement >= 1:
+        raise ValueError(f"need refinement >= 1, got {refinement}")
     failures = []
     params = CurveParams(cert.beta, cert.eta, cert.theta)
     if params.requires_swap:
@@ -542,7 +544,7 @@ def verify_certificate(
     cutoff = build_cutoff(work_params, sampling.nodes, sampling.plateau_frac)
     c, b = cert.t_interval
     ts_std = t_grid(c, b, work_raster.grid.h, support_radius(work_params), sampling.min_per_octave)
-    n_fine = (len(ts_std) - 1) * max(1, int(refinement)) + 1
+    n_fine = (len(ts_std) - 1) * int(refinement) + 1
     ts_fine = np.geomspace(c, b, n_fine) if n_fine > 1 else np.array([c])
     ox = np.outer(ts_fine, cutoff.nodes)
     oy = np.outer(ts_fine, cutoff.node_powers)

@@ -38,6 +38,13 @@ zeros, which transform to exact zeros, or are dropped; pocketfft's own 2-d
 inverse runs the same 1-d passes unscaled and applies its factor fl(1/L^2),
 rounded from long double, once, after its last pass.
 
+Start-up.  scipy.fft is loaded by the first transform, not at import.  It
+brings in 311 modules, scipy.special, numpy.ma, numpy.testing and numpy.f2py
+among them: about 0.3 s and 21 MB (x86-64, scipy 1.17, numpy 2.4), which
+would double the start-up of every command, though of the commands only
+harness and bench smooth.  A fresh `import pinbeam.cli` takes about 0.2 s
+and 33 MB without it, against 0.6 s and 56 MB with it.
+
 Threads.  Every transform runs on as many pocketfft threads as the process
 may use.  pocketfft hands whole 1-d transforms to its threads, so the
 thread count changes no bit.
@@ -58,7 +65,6 @@ import math
 import os
 
 import numpy as np
-from scipy import fft as sfft
 
 from .cache import LRUCache
 from .raster import GridSpec, ScalarField
@@ -83,6 +89,8 @@ def _kernel_radius(grid: GridSpec, t: float) -> int:
 
 def _transform_length(n: int, rad: int) -> int:
     """The even transform length 2 next_fast_len(ceil((n + rad) / 2))."""
+    from scipy import fft as sfft
+
     return 2 * sfft.next_fast_len(-(-(n + rad) // 2))
 
 
@@ -116,18 +124,24 @@ _FFT_WORKERS = len(os.sched_getaffinity(0))
 
 def _kernel_spectrum(grid: GridSpec, t: float, size: int) -> np.ndarray:
     """Rows and columns 0 .. size/2 of the real length-`size` kernel DFT."""
+    from scipy import fft as sfft
+
     m = size // 2 + 1
     return sfft.dctn(_kernel_quarter(grid, t), type=1, s=(m, m), workers=_FFT_WORKERS)
 
 
 def _padded_rfft2(x: np.ndarray, size: int) -> np.ndarray:
     """sfft.rfft2(x, (size, size)), transforming only the rows x has."""
+    from scipy import fft as sfft
+
     rows = sfft.rfft(x, size, axis=1, workers=_FFT_WORKERS)
     return sfft.fft(rows, size, axis=0, overwrite_x=True, workers=_FFT_WORKERS)
 
 
 def poisson_smooth_multi(field: ScalarField, scales) -> list[ScalarField]:
     """Poisson-smooth one field at several scales, sharing the field transform."""
+    from scipy import fft as sfft
+
     grid = field.grid
     n, h = grid.n, grid.h
     size = _transform_length(n, max(_kernel_radius(grid, t) for t in scales))

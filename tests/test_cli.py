@@ -415,6 +415,19 @@ class TestVerifyCmd:
         assert main(["verify", "--cert", str(cert), "--raster", str(raster),
                      "--nodes", "64", "--refinement", "4"]) == EXIT_OK
 
+    def test_zero_refinement_refused(self, tmp_path, capsys):
+        raster = tmp_path / "a.pb"
+        save_raster(full_square(64), raster)
+        cert = tmp_path / "cert.json"
+        assert main(["prospect", "--input", str(raster), "--out", str(cert),
+                     "--nodes", "64", "--ladder-depth", "1"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", "--cert", str(cert), "--raster", str(raster),
+                     "--nodes", "64", "--refinement", "0"]) == EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.err == "error: need refinement >= 1, got 0\n"
+        assert "verified" not in out.out
+
     def test_non_numeric_real_is_a_schema_error(self, tmp_path, capsys):
         raster = tmp_path / "a.pb"
         save_raster(full_square(64), raster)
@@ -523,6 +536,8 @@ class TestBench:
         assert "sq sums N=1024" in out
         assert "spectra N=2048" in out
         assert "dense window N=2048" in out
+        cold = [line.split() for line in out.splitlines() if line.startswith("cold start")]
+        assert [(row[-1], float(row[-2]) > 0) for row in cold] == [("ms", True), ("MB", True)]
 
     def test_bench_times_the_exhaustion_report(self, capsys):
         assert main(["bench", "--n", "64", "--nodes", "32", "--delta", "0.3"]) == EXIT_OK

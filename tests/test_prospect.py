@@ -127,6 +127,13 @@ class TestProspect:
         assert verify_certificate(a, cert, 1, SamplingConfig(nodes=64)).ok
         assert verify_certificate(a, cert, 4, SamplingConfig(nodes=64)).ok
 
+    def test_refinement_below_one_refused(self):
+        a = full_square(64)
+        cert = prospect(a, default_ladder(1), P24, SamplingConfig(nodes=64))
+        for refinement in (0, -2, float("nan")):
+            with pytest.raises(ValueError, match="refinement >= 1"):
+                verify_certificate(a, cert, refinement, SamplingConfig(nodes=64))
+
     def test_certificate_samples_are_consistent(self):
         a = generate_random(GridSpec(128), 0.5, 3)
         cert = prospect(a, default_ladder(2), P24, SamplingConfig(nodes=64))

@@ -347,21 +347,41 @@ class TestPoissonSmooth:
         assert np.abs(b.values - poisson_smooth(h, 0.2).values).max() < 1e-12
 
 
-def loaded_by_import(module: str) -> bool:
-    """Whether a fresh `import pinbeam` loads `module`."""
+def scipy_loaded_after(code: str) -> list[str]:
+    """The scipy modules loaded after running `code` in a fresh interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = f"import sys, pinbeam; print({module!r} in sys.modules)"
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, timeout=120,
     )
-    return out.stdout.strip() == "True"
+    return out.stdout.split()
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # every command pays the package import; scipy.signal alone costs more
-    # than the rest of it
-    assert not loaded_by_import("scipy.signal")
+def test_import_loads_no_scipy():
+    # every command pays the package import; scipy.fft alone would double it
+    # and scipy.linalg or scipy.signal add more, so each loads on first use
+    for code in ("import pinbeam", "import pinbeam.cli"):
+        assert scipy_loaded_after(code) == [], code
+
+
+def test_search_and_verify_load_no_scipy():
+    # gen -> prospect -> verify smooth nothing and compute no field
+    code = """
+from pinbeam import CurveParams, GridSpec, SamplingConfig, default_ladder, generate_random
+from pinbeam import prospect, verify_certificate
+from pinbeam.constructions import dead_strip_set
+from pinbeam.reports import certificate_to_dict, exhaustion_to_dict
+s = SamplingConfig(nodes=32)
+p = CurveParams(2.0, 1.0, 2.4)
+a = generate_random(GridSpec(64), 0.5, 1)
+cert = prospect(a, default_ladder(2), p, s)
+assert verify_certificate(a, cert, 2, s).ok
+certificate_to_dict(cert)
+q = CurveParams(2.0, 1.0, 1.05)
+exhaustion_to_dict(prospect(dead_strip_set(64, q, default_ladder(1), 1), default_ladder(1), q, s))
+"""
+    assert scipy_loaded_after(code) == []
 
 
 def peak_kb_in_fresh_interpreter(code: str) -> int:
@@ -405,12 +425,6 @@ scales = [s for j in (2, 3) for s in _block_scales(g, default_ladder(3), j, 0.25
 poisson_smooth_multi(ScalarField(g, np.random.default_rng(0).random((1024, 1024))), scales)
 """
     assert peak_kb_in_fresh_interpreter(code) < 300 * 1024
-
-
-def test_import_leaves_scipy_linalg_unloaded():
-    # the field engine loads its BLAS on first use, so commands that compute
-    # no field do not pay scipy.linalg's memory and start-up time
-    assert not loaded_by_import("scipy.linalg")
 
 
 class TestMartingale:
