@@ -365,6 +365,17 @@ def test_import_loads_no_scipy():
         assert scipy_loaded_after(code) == [], code
 
 
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal alone costs more than the rest of the package import
+    assert "scipy.signal" not in scipy_loaded_after("import pinbeam")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # the field engine loads its BLAS on first use, so commands that compute
+    # no field do not pay scipy.linalg's memory and start-up time
+    assert "scipy.linalg" not in scipy_loaded_after("import pinbeam")
+
+
 def test_search_and_verify_load_no_scipy():
     # gen -> prospect -> verify smooth nothing and compute no field
     code = """
