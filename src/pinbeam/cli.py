@@ -9,6 +9,7 @@ environment (PINBEAM_OUTDIR).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -31,7 +32,7 @@ from .harness import (
     compute_sq_sums,
     decay_sweep,
 )
-from .kernel import CurveParams, build_cutoff, curve_average, validate_params
+from .kernel import CurveParams, Cutoff, build_cutoff, curve_average, validate_params
 from .prospect import (
     BeamCertificate,
     SamplingConfig,
@@ -110,6 +111,15 @@ def _sampling(cfg: RunConfig) -> SamplingConfig:
     )
 
 
+def _carved_quadrant(n: int, block: int, cutoff: Cutoff, min_per_octave: int) -> RasterSet:
+    """The full square less every cell hit by block arcs from its lower-left quadrant."""
+    full = RasterSet(GridSpec(n), np.ones((n, n), dtype=bool))
+    region = np.zeros((n, n), dtype=bool)
+    region[: n // 2, : n // 2] = True
+    ladder = default_ladder(max(block, 1))
+    return constructions.carve_block_arcs(full, region, ladder, block, cutoff, min_per_octave)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -128,13 +138,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         ladder = default_ladder(max(args.block, 1))
         raster = constructions.dead_strip_set(cfg.n, params, ladder, args.block)
     elif args.kind == "carved":
-        params = _params(cfg)
-        ladder = default_ladder(max(args.block, 1))
-        cutoff = build_cutoff(params, cfg.nodes, cfg.plateau_frac)
-        full = RasterSet(grid, np.ones((cfg.n, cfg.n), dtype=bool))
-        region = np.zeros((cfg.n, cfg.n), dtype=bool)
-        region[: cfg.n // 2, : cfg.n // 2] = True
-        raster = constructions.carve_block_arcs(full, region, ladder, args.block, cutoff)
+        cutoff = build_cutoff(_params(cfg), cfg.nodes, cfg.plateau_frac)
+        raster = _carved_quadrant(cfg.n, args.block, cutoff, cfg.t_per_octave)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown kind {args.kind}")
     save_raster(raster, args.out)
@@ -274,75 +279,57 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     params = _params(cfg)
     cutoff = build_cutoff(params, cfg.nodes, cfg.plateau_frac)
 
+    rows = []
+
+    def timed(name, fn, *args, **kwargs):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        rows.append((name, time.perf_counter() - t0))
+        return out
+
     # What every command pays before its work: a fresh interpreter importing
     # the CLI.  VmHWM, not ru_maxrss, which Linux carries across exec.
     src = str(Path(__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     probe = ("import pinbeam.cli\nprint(next(line.split()[1] for line in open('/proc/self/status')"
              " if line.startswith('VmHWM:')))")
-    t0 = time.perf_counter()
-    child = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-                           capture_output=True, text=True, check=True, timeout=60)
-    rows = [("cold start", time.perf_counter() - t0)]
+    child = timed("cold start", subprocess.run, [sys.executable, "-c", probe],
+                  env={**os.environ, "PYTHONPATH": path},
+                  capture_output=True, text=True, check=True, timeout=60)
     cold_start_kb = int(child.stdout)
 
-    t0 = time.perf_counter()
-    raster = generate_random(grid, cfg.delta, cfg.seed)
-    rows.append(("generate_random", time.perf_counter() - t0))
-
+    raster = timed("generate_random", generate_random, grid, cfg.delta, cfg.seed)
     f = indicator(raster)
-    t0 = time.perf_counter()
-    for _ in range(1000):
-        curve_average(f, 0.25, (0.3, 0.3), cutoff)
-    rows.append(("curve_average x1000", time.perf_counter() - t0))
-
+    timed("curve_average x1000",
+          lambda: [curve_average(f, 0.25, (0.3, 0.3), cutoff) for _ in range(1000)])
     # Smoothing loads scipy.fft on first use; time that apart from the work.
-    t0 = time.perf_counter()
-    import scipy.fft  # noqa: F401
-    rows.append(("scipy.fft import", time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    poisson_smooth(f, 0.05)
-    rows.append(("poisson_smooth", time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    extremal_conv_field(f.values, grid, cutoff, (0.0625, 0.125), "absmax")
-    rows.append(("sup field block j=2", time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    prospect(raster, default_ladder(2), params, _sampling(cfg))
-    rows.append(("prospect first cell", time.perf_counter() - t0))
+    timed("scipy.fft import", importlib.import_module, "scipy.fft")
+    timed("poisson_smooth", poisson_smooth, f, 0.05)
+    timed("sup field block j=2", extremal_conv_field, f.values, grid, cutoff, (0.0625, 0.125),
+          "absmax")
+    timed("prospect first cell", prospect, raster, default_ladder(2), params, _sampling(cfg))
+    timed("carve block 2", _carved_quadrant, n, 2, cutoff, cfg.t_per_octave)
 
     # Every cell fails both blocks, so the scan runs over all 6,144 cells.
     strip_params = CurveParams(2.0, 1.0, 1.05)
     strips = constructions.dead_strip_set(128, strip_params, default_ladder(2), 2)
-    t0 = time.perf_counter()
-    outcome = prospect(strips, default_ladder(2), strip_params, _sampling(cfg))
-    rows.append(("prospect exhaustion", time.perf_counter() - t0))
-
+    outcome = timed("prospect exhaustion", prospect, strips, default_ladder(2), strip_params,
+                    _sampling(cfg))
     with tempfile.TemporaryDirectory() as tmp:
-        t0 = time.perf_counter()
-        write_json(Path(tmp) / "exhaustion.json", exhaustion_to_dict(outcome))
-        rows.append(("exhaustion report", time.perf_counter() - t0))
+        timed("exhaustion report",
+              lambda: write_json(Path(tmp) / "exhaustion.json", exhaustion_to_dict(outcome)))
 
     # The reduce flow's square sums: depth 3, rho = 1/4, every s_hi radius
     # capped at n - 1; its kernel spectra are built here, not cached.
     unit = generate_random(GridSpec(1024), cfg.delta, cfg.seed)
-    t0 = time.perf_counter()
-    compute_sq_sums(unit, default_ladder(3), 1, 3, HarnessConstants(tau=0.1, rho=0.25))
-    rows.append(("sq sums N=1024", time.perf_counter() - t0))
-
+    timed("sq sums N=1024", compute_sq_sums, unit, default_ladder(3), 1, 3,
+          HarnessConstants(tau=0.1, rho=0.25))
     # One cold kernel spectrum spanning an N=2048 window: rad = n - 1, L = 4096.
-    wide = GridSpec(2048)
-    t0 = time.perf_counter()
-    smoothing._kernel_spectrum(wide, 0.5, smoothing._transform_length(2048, 2047))
-    rows.append(("spectra N=2048", time.perf_counter() - t0))
-
+    timed("spectra N=2048", smoothing._kernel_spectrum, GridSpec(2048), 0.5,
+          smoothing._transform_length(2048, 2047))
     # Only a full window counts, so on a random set both radii are scanned.
     big = generate_random(GridSpec(2048, side=4.0), cfg.delta, cfg.seed)
-    t0 = time.perf_counter()
-    find_dense_window(big, 1.0, (1.0, 0.5))
-    rows.append(("dense window N=2048", time.perf_counter() - t0))
+    timed("dense window N=2048", find_dense_window, big, 1.0, (1.0, 0.5))
 
     for name, dt in rows:
         print(f"{name:24s} {dt * 1000:10.1f} ms")

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .kernel import Cutoff, CurveParams, support_radius, t_grid
-from .prospect import ScaleLadder
+from .kernel import Cutoff, CurveParams
+from .prospect import _GATHER_ELEMS, ScaleLadder, _block, _padded
 from .raster import GridSpec, RasterSet, cells_of_points
 
 __all__ = [
@@ -70,22 +70,29 @@ def carve_block_arcs(
 ) -> RasterSet:
     """Delete every cell hit by block-j arcs pinned at cells of the region.
 
-    The enumeration uses the same scale grid and sampling convention as the
-    search, so the carved set is exactly the one on which those points fail
-    block j.
+    The carve is the ladder scan's gather run as a scatter: it clears the
+    scan's own block-j cell offsets (``prospect._block``) from every region
+    cell, and the samples of the block's tie scales through
+    ``cells_of_points``, as the scan looks them up.  So the carved set is
+    exactly the one on which those points fail block j, by construction.
     """
     grid = a.grid
-    b, c = ladder.block(j)
-    ts = t_grid(c, b, grid.h, support_radius(cutoff.params), min_per_octave)
-    ox = np.outer(ts, cutoff.nodes).ravel()
-    oy = np.outer(ts, cutoff.node_powers).ravel()
-    bitmap = a.bitmap.copy()
-    h = grid.h
+    n, h = grid.n, grid.h
+    region = RasterSet(grid, region_mask)  # refuses a mask of another shape
+    padded, width = _padded(a, ladder.block(j)[0], cutoff)
+    blk = _block(grid, cutoff, ladder, j, min_per_octave, width)
+    iy, ix = np.divmod(np.flatnonzero(region.bitmap), n)
+    flat = iy * width + ix
+    step = max(1, _GATHER_ELEMS // max(1, blk.distinct.size))
+    for lo in range(0, len(flat), step):
+        padded[blk.distinct[:, None] + flat[lo : lo + step]] = False
+    bitmap = padded.reshape(width, width)[:n, :n]
     x0, y0 = grid.origin
-    for iy, ix in np.argwhere(region_mask):
-        xc = x0 + (ix + 0.5) * h
-        yc = y0 + (iy + 0.5) * h
-        jx, jy, inside = cells_of_points(grid, xc + ox, yc + oy)
+    xc, yc = x0 + (ix[:, None] + 0.5) * h, y0 + (iy[:, None] + 0.5) * h
+    ox, oy = blk.ox[blk.ties].ravel(), blk.oy[blk.ties].ravel()
+    step = max(1, _GATHER_ELEMS // max(1, ox.size))
+    for lo in range(0, len(flat), step):
+        jx, jy, inside = cells_of_points(grid, xc[lo : lo + step] + ox, yc[lo : lo + step] + oy)
         bitmap[jy[inside], jx[inside]] = False
     return RasterSet(grid, bitmap)
 

@@ -255,6 +255,8 @@ def t_grid(c: float, b: float, h: float, radius: float, min_per_octave: int = 16
     per dyadic octave."""
     if not (0 < c <= b):
         raise ValueError(f"need 0 < c <= b, got c={c}, b={b}")
+    if min_per_octave < 1:
+        raise ValueError(f"need min_per_octave >= 1, got {min_per_octave}")
     if c == b:
         return np.array([c])
     ratio_cap = 1.0 + h / (2.0 * b * radius)

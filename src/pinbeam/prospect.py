@@ -20,7 +20,8 @@ next to a cell edge, the window's far edge among them) is looked up through
 per-point lookups give, bit for bit.  Without a certificate, the scan's
 centres and violating scales fill the exhaustion file's columns directly
 (``ExhaustionReport``).  The same scan answers the decomposition's block
-hypothesis (every set point has a block scale whose arc misses the set).
+hypothesis (every set point has a block scale whose arc misses the set),
+and ``constructions.carve_block_arcs`` runs its gather as a scatter.
 """
 
 from __future__ import annotations
@@ -159,6 +160,10 @@ class SamplingConfig:
     subsample: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.subsample is not None and self.subsample < 1:
+            raise ValueError(f"need subsample >= 1, got {self.subsample}")
+
 
 @dataclass(frozen=True)
 class BeamSample:
@@ -256,11 +261,11 @@ _GATHER_ELEMS = 2**18
 class _Block:
     """One ladder block's scale samples and their integer cell offsets.
 
-    ``distinct`` holds the block's distinct in-range offsets sy * width + sx
-    into the padded bitmap.  ``rows`` lists, scale by scale, the distinct
-    offsets each scale reads, and ``starts`` indexes the first entry of each
-    scale in ``filled`` (scales with no in-range offset read 0).  ``ties``
-    lists the scales that take the float lookup.
+    ``ties`` lists the scales that take the float lookup.  ``distinct``
+    holds the other scales' distinct in-range offsets sy * width + sx into
+    the padded bitmap.  ``rows`` lists, scale by scale, the distinct offsets
+    each scale reads, and ``starts`` indexes the first entry of each scale
+    in ``filled`` (scales with no such offset, the ties among them, read 0).
     """
 
     ts: np.ndarray
@@ -275,14 +280,13 @@ class _Block:
 
 
 def _block(
-    work: _WorkingSystem, ladder: ScaleLadder, j: int, min_per_octave: int, width: int
+    grid: GridSpec, cutoff: Cutoff, ladder: ScaleLadder, j: int, min_per_octave: int, width: int
 ) -> _Block:
-    grid = work.raster.grid
     n, h = grid.n, grid.h
     b, c = ladder.block(j)
-    ts = t_grid(c, b, h, support_radius(work.params), min_per_octave)
-    ox = np.outer(ts, work.cutoff.nodes)
-    oy = np.outer(ts, work.cutoff.node_powers)
+    ts = t_grid(c, b, h, support_radius(cutoff.params), min_per_octave)
+    ox = np.outer(ts, cutoff.nodes)
+    oy = np.outer(ts, cutoff.node_powers)
     ratio = (b / c) ** (1.0 / (len(ts) - 1)) if len(ts) > 1 else 1.0
     # Bound on the gap between floor(1/2 + (t / h) u), the field engine's
     # rounding rule, and the per-point lookup's float path,
@@ -294,14 +298,14 @@ def _block(
     margin = 8.0 * np.finfo(np.float64).eps * extent / h
     near = np.zeros(len(ts), dtype=bool)
     shifts = []
-    for f in cell_shifts(work.cutoff, ts, h):
+    for f in cell_shifts(cutoff, ts, h):
         s = np.floor(f)
         f -= s
         f -= 0.5
         near |= (np.abs(f, out=f) >= 0.5 - margin).any(axis=1)
         shifts.append(s.astype(np.int64))
     sx, sy = shifts
-    keep = (sx < n) & (sy < n)
+    keep = (sx < n) & (sy < n) & ~near[:, None]
     # Nodes and their powers ascend for any beta > 0, so repeated offsets
     # within a scale are adjacent.
     keep[:, 1:] &= (sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1])
@@ -455,7 +459,7 @@ def prospect(
             if limit == 0:
                 break
             if j not in blocks:
-                blocks[j] = _block(work, ladder, j, sampling.min_per_octave, width)
+                blocks[j] = _block(grid, work.cutoff, ladder, j, sampling.min_per_octave, width)
             blk = blocks[j]
             miss = _first_misses(blk, padded, flat[:limit], xc[:limit], yc[:limit], work.raster)
             passed = miss == len(blk.ts)
@@ -487,9 +491,8 @@ def block_hypothesis_holds(
     ``cells_of_points``.  Stops at the first batch of cells that holds a
     cell with a witness at every scale.
     """
-    work = _WorkingSystem(a, cutoff.params, cutoff, False)
     padded, width = _padded(a, ladder.block(j)[0], cutoff)
-    blk = _block(work, ladder, j, min_per_octave, width)
+    blk = _block(a.grid, cutoff, ladder, j, min_per_octave, width)
     return all(
         (_first_misses(blk, padded, flat, xc, yc, a) < len(blk.ts)).all()
         for flat, xc, yc in _batches(np.flatnonzero(a.bitmap), a.grid, width)

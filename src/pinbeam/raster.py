@@ -134,11 +134,11 @@ def cells_of_points(grid: GridSpec, xs: np.ndarray, ys: np.ndarray):
     likewise in y.  The window itself is closed: a point on its far edge
     x = x0 + side (or y = y0 + side) is inside and clamps to the last cell.
     Curve averages, arc carving, the ladder search, the block-hypothesis
-    check and certificate verification all follow it (the search and the
-    check through integer offsets kept exact by a tie guard).  The extremal
-    field engine in ``fields`` uses bare integer shifts, which read 0 on the
-    far edge; they serve only float fields, and no set-membership answer
-    uses them.
+    check and certificate verification all follow it (the carving, the
+    search and the check through integer offsets kept exact by a tie guard,
+    ``prospect._block``).  The extremal field engine in ``fields`` uses bare
+    integer shifts, which read 0 on the far edge; they serve only float
+    fields, and no set-membership answer uses them.
     Returns integer index arrays ``(ix, iy)`` plus a boolean mask of points
     inside the closed window.
     """

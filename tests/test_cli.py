@@ -305,6 +305,22 @@ class TestProspectCmd:
         assert capsys.readouterr().err == "error: need depth >= 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--subsample", "0", "subsample"),
+        ("--subsample", "-3", "subsample"),
+        ("--t-per-octave", "0", "min_per_octave"),
+        ("--t-per-octave", "-5", "min_per_octave"),
+    ])
+    def test_sampling_below_one_refused(self, tmp_path, capsys, flag, value, name):
+        raster = tmp_path / "a.pb"
+        save_raster(full_square(64), raster)
+        out = tmp_path / "c.json"
+        rc = main(["prospect", "--input", str(raster), "--out", str(out),
+                   "--nodes", "32", "--ladder-depth", "1", flag, value])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: need {name} >= 1, got {value}\n"
+        assert not out.exists()
+
     def test_exhaustion_exit_code(self, tmp_path):
         raster = tmp_path / "a.pb"
         save_raster(single_cell(64, 5, 5), raster)
@@ -536,6 +552,7 @@ class TestBench:
         assert "sq sums N=1024" in out
         assert "spectra N=2048" in out
         assert "dense window N=2048" in out
+        assert "carve block 2" in out
         cold = [line.split() for line in out.splitlines() if line.startswith("cold start")]
         assert [(row[-1], float(row[-2]) > 0) for row in cold] == [("ms", True), ("MB", True)]
 

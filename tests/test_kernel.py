@@ -22,6 +22,7 @@ from pinbeam import (
     validate_params,
 )
 from pinbeam.constructions import carve_block_arcs
+from pinbeam.kernel import t_grid
 from pinbeam.prospect import default_ladder
 from pinbeam.raster import cells_of_points
 
@@ -276,6 +277,13 @@ class TestScaleExtrema:
         fine = np.geomspace(c, b, (len(ts) - 1) * 4 + 1)
         avgs = [curve_average(indicator(a), float(t), pt, cut) for t in fine]
         assert min(avgs) == 0.0
+
+
+class TestScaleGrid:
+    @pytest.mark.parametrize("per_octave", [0, -5])
+    def test_fewer_than_one_scale_per_octave_refused(self, per_octave):
+        with pytest.raises(ValueError, match=f"need min_per_octave >= 1, got {per_octave}"):
+            t_grid(0.25, 0.5, 1 / 64, support_radius(P24), per_octave)
 
 
 class TestAxisSwapCurves:

@@ -36,8 +36,10 @@ from pinbeam.kernel import support_radius, t_grid
 from pinbeam.prospect import (
     DenseWindowResult,
     ResolutionError,
+    _block,
     _certificate,
     _hits_matrix,
+    _padded,
     _summed_area,
     _window_counts,
     _working_system,
@@ -179,6 +181,11 @@ class TestProspect:
         assert prospect(a, default_ladder(2), P24, cfg) == prospect(
             a, default_ladder(2), P24, cfg
         )
+
+    @pytest.mark.parametrize("subsample", [0, -3])
+    def test_subsample_below_one_refused(self, subsample):
+        with pytest.raises(ValueError, match=f"need subsample >= 1, got {subsample}"):
+            SamplingConfig(subsample=subsample)
 
     def test_subsample_deterministic_and_scan_ordered(self):
         a = generate_random(GridSpec(128), 0.3, 10)
@@ -508,6 +515,67 @@ def test_block_hypothesis_matches_point_lookups(window, n, ms, density, seed, la
     ladder = default_ladder(2)
     want = hypothesis_by_lookups(a, ladder, j, cutoff)
     assert block_hypothesis_holds(a, ladder, j, cutoff) == want
+
+
+def carve_by_lookups(a, region_mask, ladder, j, cutoff, min_per_octave=16):
+    """The per-cell point-lookup carve that the scatter over block offsets replaced."""
+    grid = a.grid
+    b, c = ladder.block(j)
+    ts = t_grid(c, b, grid.h, support_radius(cutoff.params), min_per_octave)
+    ox = np.outer(ts, cutoff.nodes).ravel()
+    oy = np.outer(ts, cutoff.node_powers).ravel()
+    bitmap = a.bitmap.copy()
+    h = grid.h
+    x0, y0 = grid.origin
+    for iy, ix in np.argwhere(region_mask):
+        xc = x0 + (ix + 0.5) * h
+        yc = y0 + (iy + 0.5) * h
+        jx, jy, inside = cells_of_points(grid, xc + ox, yc + oy)
+        bitmap[jy[inside], jx[inside]] = False
+    return bitmap
+
+
+@settings(max_examples=40, deadline=None)
+@given(**EDGE_CASES, j=st.sampled_from([1, 2]), beta=st.sampled_from([2.0, 0.5]),
+       region_seed=st.integers(0, 2**16))
+def test_carve_matches_point_lookups(window, n, ms, density, seed, last_column, j, beta,
+                                     region_seed):
+    a, cutoff = _edge_case(window, n, ms, density, seed, last_column, CurveParams(beta, 1.0, 2.4))
+    rng = np.random.default_rng(region_seed)
+    region = rng.random((n, n)) < rng.random()
+    ladder = default_ladder(2)
+    got = carve_block_arcs(a, region, ladder, j, cutoff)
+    assert np.array_equal(got.bitmap, carve_by_lookups(a, region, ladder, j, cutoff))
+
+
+class TestCarve:
+    def test_tie_scales_follow_point_lookups(self):
+        # some block-1 samples land on the window's far edge, where the point
+        # lookup reads the last cell and the bare integer offset reads nothing
+        a, cutoff = _edge_case(EDGE_WINDOWS[1], 16, [36, 40, 42, 64, 68], 0.3, 46960, 56024)
+        ladder = default_ladder(2)
+        _, width = _padded(a, ladder.block(1)[0], cutoff)
+        assert _block(a.grid, cutoff, ladder, 1, 16, width).ties.size > 0
+        region = np.random.default_rng(0).random((16, 16)) < 0.3
+        got = carve_block_arcs(a, region, ladder, 1, cutoff)
+        assert np.array_equal(got.bitmap, carve_by_lookups(a, region, ladder, 1, cutoff))
+
+    def test_quadrant_as_gen_builds_it(self):
+        # `pinbeam gen --kind carved` at N=128 with its default block and nodes
+        n = 128
+        cut = build_cutoff(P24, 128, 0.5)
+        region = np.zeros((n, n), dtype=bool)
+        region[: n // 2, : n // 2] = True
+        ladder = default_ladder(2)
+        got = carve_block_arcs(full_square(n), region, ladder, 2, cut)
+        assert np.array_equal(got.bitmap, carve_by_lookups(full_square(n), region, ladder, 2, cut))
+
+    @pytest.mark.parametrize("side", [8, 32])
+    def test_region_of_another_shape_refused(self, side):
+        cut = build_cutoff(P24, 32, 0.5)
+        region = np.ones((side, side), dtype=bool)
+        with pytest.raises(ValueError, match=rf"shape \({side}, {side}\) does not match grid n=16"):
+            carve_block_arcs(full_square(16), region, default_ladder(1), 1, cut)
 
 
 class TestAxisSwapRoute:
