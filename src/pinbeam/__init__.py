@@ -25,7 +25,6 @@ from .kernel import (
 )
 from .prospect import (
     BeamCertificate,
-    BeamSample,
     ExhaustionReport,
     ResolutionError,
     SamplingConfig,

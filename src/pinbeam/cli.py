@@ -307,7 +307,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     timed("poisson_smooth", poisson_smooth, f, 0.05)
     timed("sup field block j=2", extremal_conv_field, f.values, grid, cutoff, (0.0625, 0.125),
           "absmax")
-    timed("prospect first cell", prospect, raster, default_ladder(2), params, _sampling(cfg))
+    cert = timed("prospect first cell", prospect, raster, default_ladder(2), params, _sampling(cfg))
+    if isinstance(cert, BeamCertificate):  # a sparse --delta may exhaust instead
+        with tempfile.TemporaryDirectory() as tmp:
+            timed("certificate JSON",
+                  lambda: write_json(Path(tmp) / "cert.json", certificate_to_dict(cert)))
+        timed("verify refinement 4", verify_certificate, raster, cert, 4, _sampling(cfg))
     timed("carve block 2", _carved_quadrant, n, 2, cutoff, cfg.t_per_octave)
 
     # Every cell fails both blocks, so the scan runs over all 6,144 cells.

@@ -49,8 +49,8 @@ class CurveParams:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.beta == 1.0:
             raise ValueError("linear case excluded: beta = 1 admits no nontrivial beam")
-        if not (0 < self.eta < self.theta):
-            raise ValueError(f"need 0 < eta < theta, got eta={self.eta}, theta={self.theta}")
+        if not (0 < self.eta < self.theta < math.inf):
+            raise ValueError(f"need 0 < eta < theta < inf, got eta={self.eta}, theta={self.theta}")
 
     @property
     def requires_swap(self) -> bool:
@@ -86,9 +86,13 @@ def validate_params(p: CurveParams) -> AdmissibilityVerdict:
         reason = inner.reason or "validated via axis-swapped system"
         return AdmissibilityVerdict(inner.ok, inner.slack, reason)
     r = p.theta / p.eta
-    value = r**p.beta - p.beta * r
+    try:
+        value = r**p.beta - p.beta * r
+        support_radius(p)
+    except OverflowError:
+        return AdmissibilityVerdict(False, -math.inf, "the arc's reach overflows a float")
     slack = (p.beta - 1.0) - value
-    if slack <= 0:
+    if not slack > 0:
         return AdmissibilityVerdict(
             False, slack, f"(theta/eta)^beta - beta*(theta/eta) = {value:.6g} >= beta - 1"
         )

@@ -46,7 +46,6 @@ from .raster import GridSpec, RasterSet, axis_swap, cells_of_points
 
 __all__ = [
     "BeamCertificate",
-    "BeamSample",
     "DenseWindowResult",
     "ExhaustionReport",
     "ResolutionError",
@@ -166,16 +165,13 @@ class SamplingConfig:
 
 
 @dataclass(frozen=True)
-class BeamSample:
-    t: float
-    a: float
-    u: float
-    hit: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class BeamCertificate:
-    """A pinned point and a coefficient interval whose curves all meet the set."""
+    """A pinned point and a coefficient interval whose curves all meet the set.
+
+    The witnesses are columns, one entry per sampled scale: at scale t[k]
+    (coefficient a[k]) the arc sample at offset u[k] from the point lies in
+    the set at (hit_x[k], hit_y[k]).
+    """
 
     beta: float
     eta: float
@@ -185,8 +181,17 @@ class BeamCertificate:
     t_interval: tuple[float, float]  # (c_j, b_j)
     a_interval: tuple[float, float]
     t_grid_ratio: float
-    samples: tuple[BeamSample, ...]
+    t: tuple[float, ...]
+    a: tuple[float, ...]
+    u: tuple[float, ...]
+    hit_x: tuple[float, ...]
+    hit_y: tuple[float, ...]
     gap: tuple[float, float]
+
+    def __post_init__(self):
+        lengths = [len(col) for col in (self.t, self.a, self.u, self.hit_x, self.hit_y)]
+        if len(set(lengths)) != 1:
+            raise ValueError(f"need t, a, u, hit_x and hit_y columns of one length: {lengths}")
 
 
 @dataclass(frozen=True)
@@ -271,7 +276,6 @@ class _Block:
     ts: np.ndarray
     ox: np.ndarray
     oy: np.ndarray
-    ratio: float
     distinct: np.ndarray
     rows: np.ndarray
     starts: np.ndarray
@@ -287,7 +291,6 @@ def _block(
     ts = t_grid(c, b, h, support_radius(cutoff.params), min_per_octave)
     ox = np.outer(ts, cutoff.nodes)
     oy = np.outer(ts, cutoff.node_powers)
-    ratio = (b / c) ** (1.0 / (len(ts) - 1)) if len(ts) > 1 else 1.0
     # Bound on the gap between floor(1/2 + (t / h) u), the field engine's
     # rounding rule, and the per-point lookup's float path,
     # floor((x0 + (ix + 1/2) h + t u - x0) / h) - ix, and likewise in y; a
@@ -318,7 +321,6 @@ def _block(
         ts=ts,
         ox=ox,
         oy=oy,
-        ratio=ratio,
         distinct=distinct,
         rows=rows,
         starts=(np.cumsum(counts) - counts)[filled],
@@ -390,38 +392,35 @@ def _certificate(
     ts: np.ndarray,
     ox: np.ndarray,
     oy: np.ndarray,
-    ratio: float,
     hits: np.ndarray,
 ) -> BeamCertificate:
-    rows = np.arange(len(ts))
     first = hits.argmax(axis=1)
-    u_work = ox[rows, first]
-    v_work = oy[rows, first]
+    rows = np.arange(len(ts))
+    u, v = ox[rows, first], oy[rows, first]
+    point = (float(xc), float(yc))
     if swapped:
-        point = (yc, xc)
-        u_orig, v_orig = v_work, u_work
-    else:
-        point = (xc, yc)
-        u_orig, v_orig = u_work, v_work
-    hits_x = point[0] + u_orig
-    hits_y = point[1] + v_orig
-    samples = tuple(
-        BeamSample(float(t), param_from_scale(float(t), params.beta), float(u), (float(hx), float(hy)))
-        for t, u, hx, hy in zip(ts, u_orig, hits_x, hits_y)
-    )
-    c, b = float(ts[0]), float(ts[-1])
-    ends = sorted((param_from_scale(b, params.beta), param_from_scale(c, params.beta)))
+        point, u, v = point[::-1], v, u
+    t = ts.tolist()
+    c, b = t[0], t[-1]
+    beta = params.beta
+    ends = sorted((param_from_scale(b, beta), param_from_scale(c, beta)))
     return BeamCertificate(
-        beta=params.beta,
+        beta=beta,
         eta=params.eta,
         theta=params.theta,
-        point=(float(point[0]), float(point[1])),
+        point=point,
         j=j,
         t_interval=(c, b),
         a_interval=(ends[0], ends[1]),
-        t_grid_ratio=float(ratio),
-        samples=samples,
-        gap=(float(u_orig.min()), float(u_orig.max())),
+        # t_grid's geomspace puts c and b at its ends exactly.
+        t_grid_ratio=(b / c) ** (1.0 / (len(t) - 1)) if len(t) > 1 else 1.0,
+        t=tuple(t),
+        # Python's power, not np.power, whose SIMD loop rounds differently.
+        a=tuple(param_from_scale(s, beta) for s in t),
+        u=tuple(u.tolist()),
+        hit_x=tuple((point[0] + u).tolist()),
+        hit_y=tuple((point[1] + v).tolist()),
+        gap=(float(u.min()), float(u.max())),
     )
 
 
@@ -470,8 +469,7 @@ def prospect(
             blk = blocks[cert_j]
             hits = _hits_matrix(work.raster, xc[limit], yc[limit], blk.ox, blk.oy)
             return _certificate(
-                params, work.swapped, xc[limit], yc[limit], cert_j, blk.ts, blk.ox, blk.oy,
-                blk.ratio, hits,
+                params, work.swapped, xc[limit], yc[limit], cert_j, blk.ts, blk.ox, blk.oy, hits
             )
         xs[done : done + len(flat)], ys[done : done + len(flat)] = xc, yc
         done += len(flat)
@@ -526,32 +524,23 @@ def verify_certificate(
     if not refinement >= 1:
         raise ValueError(f"need refinement >= 1, got {refinement}")
     failures = []
-    params = CurveParams(cert.beta, cert.eta, cert.theta)
-    if params.requires_swap:
-        work_params = params.swapped()
-        work_raster = axis_swap(a)
-        px, py = cert.point[1], cert.point[0]
-    else:
-        work_params = params
-        work_raster = a
-        px, py = cert.point
+    # The certificate's parameters are checked as prospect checks its own.
+    work = _working_system(a, CurveParams(cert.beta, cert.eta, cert.theta), sampling)
+    px, py = cert.point[::-1] if work.swapped else cert.point
 
-    hxs = np.array([s.hit[0] for s in cert.samples], dtype=np.float64)
-    hys = np.array([s.hit[1] for s in cert.samples], dtype=np.float64)
-    ix, iy, in_set = cells_of_points(a.grid, hxs, hys)
+    ix, iy, in_set = cells_of_points(a.grid, cert.hit_x, cert.hit_y)
     in_set[in_set] = a.bitmap[iy[in_set], ix[in_set]]
     for idx in np.flatnonzero(~in_set).tolist():
-        hx, hy = cert.samples[idx].hit
+        hx, hy = cert.hit_x[idx], cert.hit_y[idx]
         failures.append(f"sample {idx}: claimed hit ({hx:.17g}, {hy:.17g}) is not in the set")
 
-    cutoff = build_cutoff(work_params, sampling.nodes, sampling.plateau_frac)
     c, b = cert.t_interval
-    ts_std = t_grid(c, b, work_raster.grid.h, support_radius(work_params), sampling.min_per_octave)
+    ts_std = t_grid(c, b, work.raster.grid.h, support_radius(work.params), sampling.min_per_octave)
     n_fine = (len(ts_std) - 1) * int(refinement) + 1
     ts_fine = np.geomspace(c, b, n_fine) if n_fine > 1 else np.array([c])
-    ox = np.outer(ts_fine, cutoff.nodes)
-    oy = np.outer(ts_fine, cutoff.node_powers)
-    hits = _hits_matrix(work_raster, px, py, ox, oy)
+    ox = np.outer(ts_fine, work.cutoff.nodes)
+    oy = np.outer(ts_fine, work.cutoff.node_powers)
+    hits = _hits_matrix(work.raster, px, py, ox, oy)
     ok_t = hits.any(axis=1)
     if not ok_t.all():
         t_bad = float(ts_fine[int(ok_t.argmin())])

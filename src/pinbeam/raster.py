@@ -250,14 +250,13 @@ def load_raster(path) -> RasterSet:
 
     # Row iy runs from just after the iy-th newline of the body to the next
     # newline, or to the end of the file once newlines run out.  Rows are
-    # checked in order: a row's length first, then its characters.
+    # checked in order: a row's length first, then its characters.  The
+    # arrays stop at the first empty row past the file's end, so their size
+    # follows the file, not the header's N.
     body = np.frombuffer(raw, dtype=np.uint8, offset=nl + 1)
     breaks = np.flatnonzero(body == ord("\n"))[:n]
-    ends = np.full(n, body.size)
-    ends[: breaks.size] = breaks
-    starts = np.full(n, body.size)
-    starts[0] = 0
-    starts[1 : breaks.size + 1] = breaks[: n - 1] + 1
+    starts = np.concatenate(([0], breaks + 1, [body.size]))[:n]
+    ends = np.concatenate((breaks, [body.size, body.size]))[:n]
     lengths = ends - starts
     short = np.flatnonzero(lengths != n)
     k = int(short[0]) if short.size else n  # rows before k are n chars + newline

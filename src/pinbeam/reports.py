@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .harness import DecompositionReport, SmallTReport, SqSumReport
-from .prospect import BeamCertificate, BeamSample, ExhaustionReport, ScaleLadder
+from .prospect import BeamCertificate, ExhaustionReport, ScaleLadder
 
 __all__ = [
     "RunConfig",
@@ -53,25 +53,21 @@ def _pt(p) -> list[str]:
 
 
 def certificate_to_dict(cert: BeamCertificate) -> dict:
+    columns = np.array([cert.t, cert.a, cert.u, cert.hit_x, cert.hit_y], dtype=np.float64)
     return {
         "beta": encode_real(cert.beta),
         "eta": encode_real(cert.eta),
         "theta": encode_real(cert.theta),
         "point": _pt(cert.point),
         "j": cert.j,
-        "t_interval": [encode_real(cert.t_interval[0]), encode_real(cert.t_interval[1])],
-        "a_interval": [encode_real(cert.a_interval[0]), encode_real(cert.a_interval[1])],
+        "t_interval": _pt(cert.t_interval),
+        "a_interval": _pt(cert.a_interval),
         "t_grid_ratio": encode_real(cert.t_grid_ratio),
         "samples": [
-            {
-                "t": encode_real(s.t),
-                "a": encode_real(s.a),
-                "u": encode_real(s.u),
-                "hit": _pt(s.hit),
-            }
-            for s in cert.samples
+            {"t": t, "a": a, "u": u, "hit": [x, y]}
+            for t, a, u, x, y in zip(*_encode_reals(columns))
         ],
-        "gap": [encode_real(cert.gap[0]), encode_real(cert.gap[1])],
+        "gap": _pt(cert.gap),
     }
 
 
@@ -86,15 +82,11 @@ def certificate_from_dict(d: dict) -> BeamCertificate:
             t_interval=(float(d["t_interval"][0]), float(d["t_interval"][1])),
             a_interval=(float(d["a_interval"][0]), float(d["a_interval"][1])),
             t_grid_ratio=float(d["t_grid_ratio"]),
-            samples=tuple(
-                BeamSample(
-                    t=float(s["t"]),
-                    a=float(s["a"]),
-                    u=float(s["u"]),
-                    hit=(float(s["hit"][0]), float(s["hit"][1])),
-                )
-                for s in d["samples"]
-            ),
+            t=tuple(float(s["t"]) for s in d["samples"]),
+            a=tuple(float(s["a"]) for s in d["samples"]),
+            u=tuple(float(s["u"]) for s in d["samples"]),
+            hit_x=tuple(float(s["hit"][0]) for s in d["samples"]),
+            hit_y=tuple(float(s["hit"][1]) for s in d["samples"]),
             gap=(float(d["gap"][0]), float(d["gap"][1])),
         )
     except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -219,12 +219,12 @@ def test_criterion_07_prospector_soundness(tmp_path):
                 if not res.ok:
                     failures.append((params.beta, run, res.failures[:1]))
                 if params.beta < 1:
-                    for s in outcome.samples:
-                        if not (params.eta * s.t < s.u < params.theta * s.t):
+                    for t, a_k, u, hit_y in zip(outcome.t, outcome.a, outcome.u, outcome.hit_y):
+                        if not (params.eta * t < u < params.theta * t):
                             failures.append((params.beta, run, "witness bound"))
                             break
-                        hy = outcome.point[1] + s.a * s.u**params.beta
-                        if abs(hy - s.hit[1]) > 1e-9 * max(1.0, abs(hy)):
+                        hy = outcome.point[1] + a_k * u**params.beta
+                        if abs(hy - hit_y) > 1e-9 * max(1.0, abs(hy)):
                             failures.append((params.beta, run, "conversion"))
                             break
             run += 1

@@ -5,8 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pinbeam import CurveParams, GridSpec, SamplingConfig, default_ladder, generate_random, prospect
+from pinbeam import (
+    BeamCertificate,
+    CurveParams,
+    GridSpec,
+    SamplingConfig,
+    default_ladder,
+    generate_random,
+    prospect,
+)
 from pinbeam import reports
 from pinbeam.cli import EXIT_ERROR, EXIT_EXHAUSTION, EXIT_OK, EXIT_VERIFY_FAIL, main
 from pinbeam.constructions import dead_strip_set
@@ -25,6 +35,36 @@ from pinbeam.reports import (
 )
 
 from conftest import full_square, single_cell
+
+
+def per_sample_certificate_dict(cert):
+    """The per-sample certificate encoder that the columnar one replaced."""
+
+    def pt(p):
+        return [encode_real(p[0]), encode_real(p[1])]
+
+    return {
+        "beta": encode_real(cert.beta),
+        "eta": encode_real(cert.eta),
+        "theta": encode_real(cert.theta),
+        "point": pt(cert.point),
+        "j": cert.j,
+        "t_interval": pt(cert.t_interval),
+        "a_interval": pt(cert.a_interval),
+        "t_grid_ratio": encode_real(cert.t_grid_ratio),
+        "samples": [
+            {"t": encode_real(t), "a": encode_real(a), "u": encode_real(u), "hit": pt((x, y))}
+            for t, a, u, x, y in zip(cert.t, cert.a, cert.u, cert.hit_x, cert.hit_y)
+        ],
+        "gap": pt(cert.gap),
+    }
+
+
+def hand_certificate(**columns):
+    fields = dict(beta=2.0, eta=1.0, theta=2.4, point=(0.5, 0.25), j=1, t_interval=(0.25, 0.5),
+                  a_interval=(2.0, 4.0), t_grid_ratio=1.5, t=(), a=(), u=(), hit_x=(), hit_y=(),
+                  gap=(0.3, 1.1))
+    return BeamCertificate(**{**fields, **columns})
 
 
 class TestReportsRoundTrip:
@@ -53,6 +93,42 @@ class TestReportsRoundTrip:
         s = d["samples"][0]
         assert set(s) == {"t", "a", "u", "hit"}
         assert all(isinstance(s[k], str) for k in ("t", "a", "u"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([16, 32, 64]), st.floats(0.3, 1.0), st.integers(0, 2**16),
+           st.sampled_from([0.5, 2.0]), st.integers(1, 2))
+    def test_columnar_encoder_writes_the_per_sample_bytes(self, n, delta, seed, beta, depth):
+        a = generate_random(GridSpec(n), delta, seed)
+        cert = prospect(a, default_ladder(depth), CurveParams(beta, 1.0, 2.4),
+                        SamplingConfig(nodes=16))
+        assume(isinstance(cert, BeamCertificate))
+        text = json.dumps(certificate_to_dict(cert))
+        assert text == json.dumps(per_sample_certificate_dict(cert))
+        assert certificate_from_dict(json.loads(text)) == cert
+
+    def test_signed_zeros_and_non_finite_witnesses_encode_as_before(self):
+        cert = hand_certificate(t=(0.25, 0.5, 0.5), a=(4.0, 2.0, 2.0), u=(0.0, -0.0, math.inf),
+                                hit_x=(math.nan, 0.5, -0.0), hit_y=(0.25, -math.inf, 0.0))
+        d = certificate_to_dict(cert)
+        assert json.dumps(d) == json.dumps(per_sample_certificate_dict(cert))
+        assert [s["u"] for s in d["samples"]] == ["0", "-0", "inf"]
+        back = certificate_from_dict(json.loads(json.dumps(d)))
+        assert [math.copysign(1.0, v) for v in back.u[:2]] == [1, -1]
+        assert math.isnan(back.hit_x[0]) and back.hit_y[1:] == cert.hit_y[1:]
+
+    def test_empty_certificate_round_trips(self):
+        cert = hand_certificate()
+        d = json.loads(json.dumps(certificate_to_dict(cert)))
+        assert d["samples"] == []
+        assert certificate_from_dict(d) == cert
+
+    @pytest.mark.parametrize("column", ["t", "a", "u", "hit_x", "hit_y"])
+    def test_unequal_columns_refused(self, column):
+        columns = dict(t=(0.25, 0.5), a=(4.0, 2.0), u=(0.3, 0.6), hit_x=(0.8, 1.1),
+                       hit_y=(0.6, 0.97))
+        columns[column] = columns[column][:1]
+        with pytest.raises(ValueError, match="columns of one length"):
+            hand_certificate(**columns)
 
     def test_schema_mismatch_raises(self):
         with pytest.raises(ValueError, match="schema"):
@@ -413,6 +489,33 @@ class TestMalformedInputs:
         assert err.startswith(f"error: certificate {cert}: not valid JSON: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--theta", "1e200"],
+        ["--beta", "1e10"],
+        ["--theta", "inf"],
+        ["--beta", "1.5", "--eta", "1e200", "--theta", "1.1e200"],
+    ], ids=["huge-theta", "huge-beta", "inf-theta", "huge-reach"])
+    def test_overflowing_parameters_refused(self, tmp_path, capsys, flags):
+        assert self._prospect(tmp_path, *flags) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "c.json").exists()
+
+    def test_overflowing_certificate_parameters_refused(self, tmp_path, capsys):
+        raster = tmp_path / "a.pb"
+        save_raster(full_square(64), raster)
+        cert = tmp_path / "cert.json"
+        assert main(["prospect", "--input", str(raster), "--out", str(cert),
+                     "--nodes", "32", "--ladder-depth", "1"]) == EXIT_OK
+        body = json.loads(cert.read_text())
+        body["theta"] = "1e200"
+        cert.write_text(json.dumps(body))
+        capsys.readouterr()
+        assert main(["verify", "--cert", str(cert), "--raster", str(raster),
+                     "--nodes", "32"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: inadmissible curve parameters: ") and err.count("\n") == 1
+
     def test_config_takes_ints_for_reals_and_null_where_default_is_null(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tau": 2, "rho": None, "subsample": None, "seed": 4}))
@@ -553,6 +656,8 @@ class TestBench:
         assert "spectra N=2048" in out
         assert "dense window N=2048" in out
         assert "carve block 2" in out
+        assert "certificate JSON" in out
+        assert "verify refinement 4" in out
         cold = [line.split() for line in out.splitlines() if line.startswith("cold start")]
         assert [(row[-1], float(row[-2]) > 0) for row in cold] == [("ms", True), ("MB", True)]
 

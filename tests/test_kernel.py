@@ -52,6 +52,21 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="linear case"):
             CurveParams(1.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("theta", [math.inf, math.nan])
+    def test_theta_must_be_finite(self, theta):
+        with pytest.raises(ValueError, match="theta < inf"):
+            CurveParams(2.0, 1.0, theta)
+
+    @pytest.mark.parametrize("params", [
+        CurveParams(2.0, 1.0, 1e200),  # r**beta overflows
+        CurveParams(1e10, 1.0, 2.4),  # r**beta overflows
+        CurveParams(1.5, 1e200, 1.1e200),  # admissible ratio, but theta**2 overflows
+        CurveParams(2.0, 5e-324, 2.4),  # r = inf, so the slack is NaN
+    ], ids=["huge-theta", "huge-beta", "huge-reach", "nan-slack"])
+    def test_overflow_is_inadmissible(self, params):
+        v = validate_params(params)
+        assert not v.ok and not v.slack > 0
+
     def test_beta_below_one_validates_swapped_system(self):
         # swapped exponent 2, swapped bounds (1, sqrt(2.4))
         v = validate_params(CurveParams(0.5, 1.0, 2.4))

@@ -141,12 +141,12 @@ class TestProspect:
         cert = prospect(a, default_ladder(2), P24, SamplingConfig(nodes=64))
         assert isinstance(cert, BeamCertificate)
         c, b = cert.t_interval
-        for s in cert.samples:
-            assert c <= s.t <= b
-            assert s.a == param_from_scale(s.t, cert.beta)
-            assert cert.eta * s.t < s.u < cert.theta * s.t
-            assert s.hit[0] == pytest.approx(cert.point[0] + s.u, abs=1e-15)
-            assert s.hit[1] == pytest.approx(cert.point[1] + s.a * s.u**cert.beta, rel=1e-12)
+        for t, a_k, u, hx, hy in zip(cert.t, cert.a, cert.u, cert.hit_x, cert.hit_y):
+            assert c <= t <= b
+            assert a_k == param_from_scale(t, cert.beta)
+            assert cert.eta * t < u < cert.theta * t
+            assert hx == pytest.approx(cert.point[0] + u, abs=1e-15)
+            assert hy == pytest.approx(cert.point[1] + a_k * u**cert.beta, rel=1e-12)
         assert cert.gap[0] >= cert.eta * c
         assert cert.gap[1] <= cert.theta * b
 
@@ -202,13 +202,12 @@ class TestProspect:
         bitmap[0, 63] = False
         holed = RasterSet(a.grid, bitmap)
         assert verify_certificate(holed, cert, 1, SamplingConfig(nodes=64)).ok
-        bad_samples = list(cert.samples)
-        s0, s1 = bad_samples[3], bad_samples[5]
-        bad_samples[3] = type(s0)(s0.t, s0.a, s0.u, (1.5, 1.5))  # off the window
-        bad_samples[5] = type(s1)(s1.t, s1.a, s1.u, (63.5 / 64, 0.5 / 64))  # unset cell
+        hit_x, hit_y = list(cert.hit_x), list(cert.hit_y)
+        hit_x[3], hit_y[3] = 1.5, 1.5  # off the window
+        hit_x[5], hit_y[5] = 63.5 / 64, 0.5 / 64  # unset cell
         import dataclasses
 
-        tampered = dataclasses.replace(cert, samples=tuple(bad_samples))
+        tampered = dataclasses.replace(cert, hit_x=tuple(hit_x), hit_y=tuple(hit_y))
         res = verify_certificate(holed, tampered, 1, SamplingConfig(nodes=64))
         assert not res.ok
         assert res.failures == (
@@ -216,13 +215,13 @@ class TestProspect:
             "sample 5: claimed hit (0.9921875, 0.0078125) is not in the set",
         )
         # a non-finite hit is reported, not looked up
-        bad_samples[5] = type(s1)(s1.t, s1.a, s1.u, (math.nan, 0.5))
-        tampered = dataclasses.replace(cert, samples=tuple(bad_samples))
+        hit_x[5], hit_y[5] = math.nan, 0.5
+        tampered = dataclasses.replace(cert, hit_x=tuple(hit_x), hit_y=tuple(hit_y))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = verify_certificate(holed, tampered, 1, SamplingConfig(nodes=64))
         assert res.failures[1] == "sample 5: claimed hit (nan, 0.5) is not in the set"
-        no_samples = dataclasses.replace(cert, samples=())
+        no_samples = dataclasses.replace(cert, t=(), a=(), u=(), hit_x=(), hit_y=())
         assert verify_certificate(holed, no_samples, 1, SamplingConfig(nodes=64)).ok
 
     def test_interval_mismatch_rejected(self):
@@ -322,8 +321,7 @@ def reference_prospect(a, ladder, params, sampling=SamplingConfig()):
         ts = t_grid(c, b, grid.h, radius, sampling.min_per_octave)
         ox = np.outer(ts, work.cutoff.nodes)
         oy = np.outer(ts, work.cutoff.node_powers)
-        ratio = (b / c) ** (1.0 / (len(ts) - 1)) if len(ts) > 1 else 1.0
-        tables.append((ts, ox, oy, ratio))
+        tables.append((ts, ox, oy))
     cells = np.argwhere(work.raster.bitmap)
     if sampling.subsample is not None and cells.shape[0] > sampling.subsample:
         rng = np.random.default_rng(sampling.seed)
@@ -335,11 +333,11 @@ def reference_prospect(a, ladder, params, sampling=SamplingConfig()):
     for iy, ix in cells:
         xc = x0 + (ix + 0.5) * h
         yc = y0 + (iy + 0.5) * h
-        for j, (ts, ox, oy, ratio) in enumerate(tables, start=1):
+        for j, (ts, ox, oy) in enumerate(tables, start=1):
             hits = _hits_matrix(work.raster, xc, yc, ox, oy)
             ok_t = hits.any(axis=1)
             if ok_t.all():
-                return _certificate(params, work.swapped, xc, yc, j, ts, ox, oy, ratio, hits)
+                return _certificate(params, work.swapped, xc, yc, j, ts, ox, oy, hits)
             t_cols[j - 1].append(float(ts[int(ok_t.argmin())]))
         point = (yc, xc) if work.swapped else (xc, yc)
         xs.append(float(point[0]))
@@ -592,13 +590,11 @@ class TestAxisSwapRoute:
         # hit sits on the curve through the pinned point
         from pinbeam.raster import cells_of_points
 
-        for s in cert.samples:
-            assert 1.0 * s.t < s.u < 2.4 * s.t
-            assert s.hit[1] == pytest.approx(cert.point[1] + s.a * s.u**0.5, rel=1e-9)
-            ix, iy, inside = cells_of_points(
-                a.grid, np.array([s.hit[0]]), np.array([s.hit[1]])
-            )
-            assert inside[0] and a.bitmap[iy[0], ix[0]]
+        for t, a_k, u, hy in zip(cert.t, cert.a, cert.u, cert.hit_y):
+            assert 1.0 * t < u < 2.4 * t
+            assert hy == pytest.approx(cert.point[1] + a_k * u**0.5, rel=1e-9)
+        ix, iy, inside = cells_of_points(a.grid, np.array(cert.hit_x), np.array(cert.hit_y))
+        assert inside.all() and a.bitmap[iy, ix].all()
         assert verify_certificate(a, cert, 2, SamplingConfig(nodes=64)).ok
 
     def test_swap_relation_with_direct_run(self):
@@ -612,9 +608,8 @@ class TestAxisSwapRoute:
         )
         assert cert.point == (cert_sw.point[1], cert_sw.point[0])
         assert cert.j == cert_sw.j
-        for s, ssw in zip(cert.samples, cert_sw.samples):
-            assert s.t == ssw.t
-            assert s.hit == (ssw.hit[1], ssw.hit[0])
+        assert cert.t == cert_sw.t
+        assert (cert.hit_x, cert.hit_y) == (cert_sw.hit_y, cert_sw.hit_x)
 
 
 class TestDenseWindow:

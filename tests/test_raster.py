@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,20 @@ class TestFileFormat:
         with pytest.raises(RasterParseError) as exc:
             load_raster(p)
         assert exc.value.byte_offset == 8
+
+    def test_memory_follows_the_file_not_the_header(self, tmp_path):
+        # A 14-byte file whose header claims 2^24 rows: arrays sized by the
+        # header's N took 528 MB before the row error.
+        p = tmp_path / "t.pb"
+        p.write_bytes(b"PB 16777216\n0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(RasterParseError, match="row 0 has 1 characters, expected 16777216"):
+                load_raster(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_sidecar_window(self, tmp_path):
         p = tmp_path / "t.pb"
