@@ -1,4 +1,4 @@
-"""A small least-recently-used store shared by the smoothing and field layers."""
+"""A small least-recently-used store shared by the smoothing and harness layers."""
 
 from __future__ import annotations
 

@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import constructions, smoothing
-from .fields import extremal_conv_field, field_cache
+from . import constructions, fields, smoothing
 from .harness import (
     HarnessConstants,
     _block_scales,
+    block_fields,
     check_smallt_scaling,
     compute_decomposition,
     compute_j0,
@@ -224,7 +224,7 @@ def _cmd_harness(args: argparse.Namespace) -> int:
         # The square sums run last; check their smoothing scales before any field.
         for j in blocks:
             _block_scales(grid, ladder, j, constants.rho)
-    hits, misses = field_cache.hits, field_cache.misses
+    runs, hits = fields.runs, block_fields.hits
 
     decs, grid_rows, smallt_reports = [], [], []
     for j in blocks:
@@ -255,8 +255,8 @@ def _cmd_harness(args: argparse.Namespace) -> int:
     detail = ScalarField(grid, noise.values - martingale_average(noise, level).values)
     gaps = list(range(0, min(6, level - 1) + 1))
     rows, alpha_fit = decay_sweep(detail, level, gaps, cfg.p, cutoff, cfg.t_per_octave)
-    computed = field_cache.misses - misses
-    requested = computed + field_cache.hits - hits
+    computed = fields.runs - runs
+    requested = computed + block_fields.hits - hits
     print(f"fields: computed {computed} of {requested} requested", file=sys.stderr)
 
     outdir = cfg.resolved_outdir()
@@ -305,8 +305,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # Smoothing loads scipy.fft on first use; time that apart from the work.
     timed("scipy.fft import", importlib.import_module, "scipy.fft")
     timed("poisson_smooth", poisson_smooth, f, 0.05)
-    timed("sup field block j=2", extremal_conv_field, f.values, grid, cutoff, (0.0625, 0.125),
-          "absmax")
+    timed("sup field block j=2", fields.extremal_conv_field, f.values, grid, cutoff,
+          (0.0625, 0.125), "absmax")
     cert = timed("prospect first cell", prospect, raster, default_ladder(2), params, _sampling(cfg))
     if isinstance(cert, BeamCertificate):  # a sparse --delta may exhaust instead
         with tempfile.TemporaryDirectory() as tmp:
@@ -387,7 +387,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -36,41 +36,19 @@ sum by about one unit in the last place (at most 4.4e-16 absolute in the
 harness's quantities on N=256 decompose runs).  A CPU whose kernel has no
 fused multiply-add rounds as the two-pass sum does, so output bits are
 reproducible per machine, not across machines.
-
-Results are reused by value.  A computed field is kept in a least-recently-
-used store of FIELD_CACHE_SIZE entries, keyed by the mode, the grid, the
-cutoff's curve parameters and one 128-bit blake2b digest over the shape,
-dtype and bytes of q, of base (None is hashed apart from an array of
-zeros), of the cutoff's nodes and weights, and of the scale grid ts.  Those
-are all the engine reads, and the engine is deterministic on a given
-machine, so a stored field is the field a fresh run would return; a hit
-returns a copy, so callers may mutate what they get.
-
-The size 6 covers the harness flow of one block at two values of rho: the
-small-scale check computes the deviation field D(rho) for both values, then
-each decomposition asks for term 4 (equal to D(rho)) first, then lhs (which
-does not depend on rho), then terms 1-3.  Between D(rho2) and its reuse as
-term 4 of the second decomposition the store takes in D(rho1), lhs and the
-first decomposition's terms 1-3, which with D(rho2) is six fields (3 MB at
-N=256), so all three repeats are hits.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
-from .cache import LRUCache
 from .kernel import Cutoff, cell_shifts, support_radius, t_grid
 from .raster import GridSpec
 
-__all__ = ["extremal_conv_field", "field_cache", "shift_table"]
+__all__ = ["extremal_conv_field", "shift_table"]
 
-# Fields kept for reuse; the module docstring says where 6 comes from.
-FIELD_CACHE_SIZE = 6
-
-field_cache = LRUCache(FIELD_CACHE_SIZE)
+# Engine runs since import, one per extremal_conv_field call.
+runs = 0
 
 
 def shift_table(cutoff: Cutoff, grid: GridSpec, ts: np.ndarray):
@@ -134,15 +112,6 @@ def _extremal(q, dx, dy, w, tptr, base, absolute, out):
     out[:] = ext.reshape(n, width)[:, :n]
 
 
-def _feed(hsh, arr: np.ndarray | None) -> None:
-    """Hash an array's shape, dtype and bytes, or a marker for None."""
-    if arr is None:
-        hsh.update(b"none;")
-        return
-    hsh.update(f"array {arr.shape} {arr.dtype.str};".encode())
-    hsh.update(memoryview(np.ascontiguousarray(arr)).cast("B"))
-
-
 def extremal_conv_field(
     q: np.ndarray,
     grid: GridSpec,
@@ -159,9 +128,9 @@ def extremal_conv_field(
     maximum of |average - base|.  `base` defaults to zero.  Evaluation is at
     cell centers through bare integer shifts: samples outside the window, and
     on its far edge, read 0.  `ts` needs at least one scale, each positive.
-    Repeated requests are answered from the store described in the module
-    docstring.
+    Every call runs the engine and returns a fresh writable array.
     """
+    global runs
     c, b = interval
     if ts is None:
         ts = t_grid(c, b, grid.h, support_radius(cutoff.params), min_per_octave)
@@ -175,14 +144,7 @@ def extremal_conv_field(
         base = np.ascontiguousarray(base, dtype=np.float64)
     if mode not in ("max", "absmax"):
         raise ValueError(f"mode must be 'max' or 'absmax', got {mode!r}")
-    hsh = hashlib.blake2b(digest_size=16)
-    for arr in (cutoff.nodes, cutoff.weights, ts, q, base):
-        _feed(hsh, arr)
-
-    def compute():
-        out = np.empty_like(q)
-        _extremal(q, *shift_table(cutoff, grid, ts), base, mode == "absmax", out)
-        out.setflags(write=False)
-        return out
-
-    return field_cache.get((mode, grid, cutoff.params, hsh.digest()), compute).copy()
+    out = np.empty_like(q)
+    _extremal(q, *shift_table(cutoff, grid, ts), base, mode == "absmax", out)
+    runs += 1
+    return out

@@ -15,15 +15,23 @@ scale rho*c_j and P_lo, P_hi the Poisson smoothings at rho*c_j and b_j/rho.
 Pairing each side against f gives hard, tolerance-checkable inequalities;
 constants the analysis leaves ineffective are reported as empirical ratios
 instead of asserted.
+
+Two fields of a block repeat by construction: lhs does not depend on rho,
+and term 4 is the small-t deviation field D(rho).  ``block_fields`` keeps
+them, keyed by what they are computed from (the raster's grid and bitmap,
+the cutoff, the block, min_per_octave, and rho or None for lhs); its 4
+entries hold lhs and D for three values of rho.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cache import LRUCache
 from .fields import extremal_conv_field
 from .kernel import Cutoff, CurveParams, support_radius, t_grid
 from .prospect import (
@@ -87,6 +95,18 @@ class HarnessConstants:
         if rho is None:
             rho = dyadic_round_down(min(delta ** (2.0 / alpha), delta * delta) / 8.0)
         return cls(tau=tau, rho=rho, p=p)
+
+
+block_fields = LRUCache(4)
+
+
+def _block_field(a: RasterSet, cutoff: Cutoff, interval, min_per_octave, rho, compute):
+    """lhs (rho None) or D(rho) of one block: the ScalarField `compute`
+    returns, built once per key and shared uncopied, as it is read-only."""
+    key = (a.grid, hashlib.blake2b(a.bitmap.tobytes(), digest_size=16).digest(),
+           cutoff.params, cutoff.nodes.tobytes(), cutoff.weights.tobytes(),
+           interval, min_per_octave, rho)
+    return block_fields.get(key, compute)
 
 
 def _field(grid, values: np.ndarray) -> ScalarField:
@@ -200,20 +220,18 @@ def compute_decomposition(
     ts = t_grid(c, b, grid.h, support_radius(cutoff.params), min_per_octave)
     interval = (c, b)
 
-    def sup_abs(q, base=None):
-        return extremal_conv_field(q, grid, cutoff, interval, "absmax", base=base, ts=ts)
+    def sup(q, mode="absmax", base=None):
+        return _field(grid, extremal_conv_field(q, grid, cutoff, interval, mode, base=base, ts=ts))
 
-    # The fields that repeat across calls come first, so that the field
-    # store still holds them (see pinbeam.fields): term 4 equals the
-    # small-scale deviation field of this rho, and lhs does not depend on rho.
-    t4 = sup_abs(p_hi.values, base=p_hi.values)
-    lhs_field = extremal_conv_field(g.values, grid, cutoff, interval, "max", ts=ts)
-    t1 = sup_abs(g.values - eg.values)
-    t2 = sup_abs(eg.values - p_lo.values)
-    t3 = sup_abs(p_lo.values - p_hi.values)
+    lhs_field = _block_field(a, cutoff, interval, min_per_octave, None,
+                             lambda: sup(g.values, "max"))
+    t1 = sup(g.values - eg.values)
+    t2 = sup(eg.values - p_lo.values)
+    t3 = sup(p_lo.values - p_hi.values)
+    t4 = _block_field(a, cutoff, interval, min_per_octave, constants.rho,
+                      lambda: sup(p_hi.values, base=p_hi.values))
 
-    lhs = pairing(a, _field(grid, lhs_field))
-    terms = [pairing(a, _field(grid, tf)) for tf in (t1, t2, t3, t4)]
+    lhs, *terms = (pairing(a, f) for f in (lhs_field, t1, t2, t3, t4))
     tail = pairing(a, p_hi)
 
     total = sum(terms) + tail
@@ -286,11 +304,14 @@ def check_smallt_scaling(
     for rho in rho_list:
         if not is_dyadic(rho):
             raise ValueError(f"rho must be a power of two, got {rho}")
-        (p_hi,) = poisson_smooth_multi(g, [b / rho])
-        dev = extremal_conv_field(
-            p_hi.values, grid, cutoff, (c, b), "absmax", base=p_hi.values,
-            min_per_octave=min_per_octave,
-        )
+
+        def deviation():
+            (p_hi,) = poisson_smooth_multi(g, [b / rho])
+            return _field(grid, extremal_conv_field(
+                p_hi.values, grid, cutoff, (c, b), "absmax", base=p_hi.values,
+                min_per_octave=min_per_octave))
+
+        dev = _block_field(a, cutoff, (c, b), min_per_octave, rho, deviation).values
         s_val = float(dev[: grid.n - my, : grid.n - mx].max())
         rows.append((float(rho), s_val, s_val / rho))
     return SmallTReport(j=j, rows=tuple(rows))

@@ -257,13 +257,15 @@ def t_grid(c: float, b: float, h: float, radius: float, min_per_octave: int = 16
     """Geometric scale grid on [c, b] fine enough that consecutive arcs
     displace by at most half a cell, with at least `min_per_octave` samples
     per dyadic octave."""
-    if not (0 < c <= b):
-        raise ValueError(f"need 0 < c <= b, got c={c}, b={b}")
+    if not (0 < c <= b < math.inf):
+        raise ValueError(f"need 0 < c <= b < inf, got c={c}, b={b}")
     if min_per_octave < 1:
         raise ValueError(f"need min_per_octave >= 1, got {min_per_octave}")
     if c == b:
         return np.array([c])
     ratio_cap = 1.0 + h / (2.0 * b * radius)
+    if ratio_cap == 1.0:
+        raise ValueError(f"scale step ratio rounds to 1 at b={b}, h={h}")
     n_disp = math.ceil(math.log(b / c) / math.log(ratio_cap))
     n_oct = math.ceil(min_per_octave * math.log2(b / c))
     n = max(n_disp, n_oct, 1) + 1

@@ -518,8 +518,8 @@ def verify_certificate(
 
     Every claimed hit is re-tested by direct cell lookup; the scale interval
     is re-scanned on a grid `refinement` times finer; the coefficient
-    interval is re-derived from the scale interval.  Any discrepancy is
-    reported with the offending sample or scale.
+    interval is re-derived from the scale interval and must match exactly.
+    Any discrepancy is reported with the offending sample or scale.
     """
     if not refinement >= 1:
         raise ValueError(f"need refinement >= 1, got {refinement}")
@@ -548,7 +548,7 @@ def verify_certificate(
 
     ends = sorted((param_from_scale(b, cert.beta), param_from_scale(c, cert.beta)))
     for want, got, name in zip(ends, cert.a_interval, ("low", "high")):
-        if abs(want - got) > 1e-12 * max(abs(want), abs(got), 1.0):
+        if want != got:
             failures.append(f"coefficient interval {name} end {got!r} != derived {want!r}")
 
     return VerificationResult(ok=not failures, failures=tuple(failures))

@@ -252,7 +252,7 @@ def load_raster(path) -> RasterSet:
     # newline, or to the end of the file once newlines run out.  Rows are
     # checked in order: a row's length first, then its characters.  The
     # arrays stop at the first empty row past the file's end, so their size
-    # follows the file, not the header's N.
+    # follows the file, not the header's N, which may pass numpy's largest dimension.
     body = np.frombuffer(raw, dtype=np.uint8, offset=nl + 1)
     breaks = np.flatnonzero(body == ord("\n"))[:n]
     starts = np.concatenate(([0], breaks + 1, [body.size]))[:n]
@@ -262,7 +262,7 @@ def load_raster(path) -> RasterSet:
     k = int(short[0]) if short.size else n  # rows before k are n chars + newline
     if body.size < k * (n + 1):  # the last of them ends the file
         body = np.append(body, np.uint8(ord("\n")))
-    cells = body[: k * (n + 1)].reshape(k, n + 1)[:, :n]
+    cells = body[: k * (n + 1)].reshape(k, n + 1)[:, :n] if k else body[:0].reshape(0, 0)
     bad = np.flatnonzero((cells != ord("0")) & (cells != ord("1")))
     if bad.size:
         iy, ix = divmod(int(bad[0]), n)

@@ -20,7 +20,6 @@ from pinbeam import (
 from pinbeam import reports
 from pinbeam.cli import EXIT_ERROR, EXIT_EXHAUSTION, EXIT_OK, EXIT_VERIFY_FAIL, main
 from pinbeam.constructions import dead_strip_set
-from pinbeam.fields import field_cache
 from pinbeam.harness import HarnessConstants, compute_sq_sums
 from pinbeam.prospect import ExhaustionReport, ResolutionError
 from pinbeam.raster import axis_swap, load_raster, save_raster
@@ -558,6 +557,45 @@ class TestVerifyCmd:
         assert err.startswith("error: certificate JSON does not match schema: ")
         assert "'x'" in err and err.count("\n") == 1
 
+    @staticmethod
+    def _edited_certificate(tmp_path, **fields):
+        """A full-square N=64 raster and its certificate with `fields` replaced."""
+        raster = tmp_path / "a.pb"
+        save_raster(full_square(64), raster)
+        cert = tmp_path / "cert.json"
+        assert main(["prospect", "--input", str(raster), "--out", str(cert),
+                     "--nodes", "64", "--ladder-depth", "1"]) == EXIT_OK
+        cert.write_text(json.dumps({**json.loads(cert.read_text()), **fields}))
+        return raster, cert
+
+    def test_nan_coefficient_interval_fails(self, tmp_path, capsys):
+        raster, cert = self._edited_certificate(tmp_path, a_interval=["nan", "nan"])
+        capsys.readouterr()
+        rc = main(["verify", "--cert", str(cert), "--raster", str(raster), "--nodes", "64"])
+        assert rc == EXIT_VERIFY_FAIL
+        out = capsys.readouterr().out
+        assert "coefficient interval low end nan" in out and "verified" not in out
+
+    @pytest.mark.parametrize("end", ["inf", "1e300"])
+    def test_unbounded_scale_interval_is_an_error(self, tmp_path, capsys, end):
+        raster, cert = self._edited_certificate(tmp_path, t_interval=["0.25", end])
+        capsys.readouterr()
+        rc = main(["verify", "--cert", str(cert), "--raster", str(raster), "--nodes", "64"])
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_refinement_too_large_to_allocate_is_an_error(self, tmp_path, capsys):
+        # 10^15 refined scales would take petabytes, which numpy refuses
+        # before allocating anything
+        raster, cert = self._edited_certificate(tmp_path)
+        capsys.readouterr()
+        rc = main(["verify", "--cert", str(cert), "--raster", str(raster), "--nodes", "64",
+                   "--refinement", str(10**15)])
+        assert rc == EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.err.startswith("error: Unable to allocate") and "verified" not in out.out
+
     def test_wrong_raster_fails_with_code_2(self, tmp_path):
         raster = tmp_path / "a.pb"
         save_raster(full_square(64), raster)
@@ -582,7 +620,6 @@ class TestHarnessCmd:
         raster = tmp_path / "a.pb"
         save_raster(generate_random(GridSpec(128), 0.4, 3), raster)
         outdir = tmp_path / "out"
-        field_cache.clear()
         rc = main(["harness", "--input", str(raster), "--blocks", "2",
                    "--rhos", "0.25", "0.125", "--tau", "1.7", "--nodes", "32",
                    "--check-hypothesis", "--outdir", str(outdir)])

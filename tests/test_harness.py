@@ -30,7 +30,8 @@ from pinbeam import (
 import pinbeam.harness as harness
 import pinbeam.smoothing as smoothing
 from pinbeam.constructions import dead_strip_set
-from pinbeam.fields import extremal_conv_field, field_cache
+from pinbeam.cache import LRUCache
+from pinbeam.fields import extremal_conv_field
 from pinbeam.harness import decay_sweep
 from pinbeam.kernel import t_grid
 from pinbeam.prospect import ResolutionError, default_ladder
@@ -164,7 +165,7 @@ class TestDecomposition:
         a = generate_random(GridSpec(64), 0.35, 17)
         const = HarnessConstants(tau=_tau_for_block(P24, 2), rho=0.25)
         r1 = compute_decomposition(a, 2, default_ladder(2), cut, const, check_hypothesis=True)
-        field_cache.clear()  # recompute every field rather than reuse r1's
+        harness.block_fields.clear()  # recompute every field rather than reuse r1's
         r2 = compute_decomposition(a, 2, default_ladder(2), cut, const, check_hypothesis=True)
         assert r1 == r2
 
@@ -231,22 +232,91 @@ class TestFieldReuse:
     ):
         a = generate_random(GridSpec(64), 0.4, 21)
         cut = build_cutoff(P24, 32, 0.5)
-        field_cache.clear()
         reused = _two_rho_flow(a, cut)
         # 12 requests: 2 deviation fields, 2 x 5 decomposition fields
         assert len(engine_runs) == 9
 
-        field = harness.extremal_conv_field
-
-        def uncached(*args, **kwargs):
-            field_cache.clear()
-            return field(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "extremal_conv_field", uncached)
+        monkeypatch.setattr(harness, "block_fields", LRUCache(0))
         engine_runs.clear()
         fresh = _two_rho_flow(a, cut)
         assert len(engine_runs) == 12
         assert reused == fresh
+
+
+def _one_cell_flipped(a):
+    bm = a.bitmap.copy()
+    bm[5, 7] = not bm[5, 7]
+    return RasterSet(a.grid, bm)
+
+
+def _reweighted(cut):
+    w = cut.weights.copy()
+    w[len(w) // 2] *= 1.0 + 2.0**-40
+    return Cutoff(cut.params, cut.nodes, w, cut.plateau_frac)
+
+
+def _last_node_moved(cut):
+    nodes = cut.nodes.copy()
+    nodes[-1] = np.nextafter(nodes[-1], 0.0)
+    return Cutoff(cut.params, nodes, cut.weights, cut.plateau_frac)
+
+
+# Each changes one thing that lhs or D(rho) is computed from.
+DETERMINANTS = {
+    "one raster cell": lambda k: {**k, "a": _one_cell_flipped(k["a"])},
+    "rho": lambda k: {**k, "rho_list": [0.5]},
+    "block": lambda k: {**k, "j": 3},
+    "a cutoff weight": lambda k: {**k, "cutoff": _reweighted(k["cutoff"])},
+    "a cutoff node": lambda k: {**k, "cutoff": _last_node_moved(k["cutoff"])},
+    "curve parameters": lambda k: {**k, "cutoff": Cutoff(
+        CurveParams(2.0, 1.0, 2.5), k["cutoff"].nodes, k["cutoff"].weights, 0.5)},
+    "min_per_octave": lambda k: {**k, "min_per_octave": 8},
+    "grid origin": lambda k: {**k, "a": RasterSet(GridSpec(64, (0.5, 0.0)), k["a"].bitmap)},
+    "grid side": lambda k: {**k, "a": RasterSet(GridSpec(64, side=2.0), k["a"].bitmap)},
+}
+
+
+class TestBlockFields:
+    @pytest.fixture(autouse=True)
+    def empty_store(self, monkeypatch):
+        """Each test starts from an empty store of the harness's own size."""
+        monkeypatch.setattr(harness, "block_fields", LRUCache(harness.block_fields.maxsize))
+
+    def test_repeats_return_the_bytes_of_a_fresh_run(self, monkeypatch, engine_runs):
+        a = generate_random(GridSpec(64), 0.4, 29)
+        cut = build_cutoff(P24, 32, 0.5)
+        ladder = default_ladder(2)
+        const = HarnessConstants(tau=_tau_for_block(P24, 2), rho=0.25)
+        paired = []
+        pair = harness.pairing
+
+        def recording(a, field):
+            paired.append(field.values.tobytes())
+            return pair(a, field)
+
+        monkeypatch.setattr(harness, "pairing", recording)
+        check_smallt_scaling(a, 2, ladder, [0.25], cut)
+        first = compute_decomposition(a, 2, ladder, cut, const)  # term 4 is D(0.25)
+        second = compute_decomposition(a, 2, ladder, cut, const)  # and lhs repeats
+        assert len(engine_runs) == 1 + 4 + 3
+        reused = list(paired)
+        harness.block_fields.clear()
+        paired.clear()
+        fresh = compute_decomposition(a, 2, ladder, cut, const)
+        assert len(engine_runs) == 8 + 5
+        # lhs, terms 1-4 and the tail, paired in that order
+        assert reused[:6] == reused[6:] == paired
+        assert first == second == fresh
+
+    @pytest.mark.parametrize("change", list(DETERMINANTS))
+    def test_each_determinant_computes_afresh(self, engine_runs, change):
+        kwargs = dict(a=generate_random(GridSpec(64), 0.4, 31), j=2, ladder=default_ladder(3),
+                      rho_list=[0.25], cutoff=build_cutoff(P24, 32, 0.5), min_per_octave=16)
+        first = check_smallt_scaling(**kwargs)
+        assert check_smallt_scaling(**kwargs) == first
+        assert len(engine_runs) == 1
+        check_smallt_scaling(**DETERMINANTS[change](kwargs))
+        assert len(engine_runs) == 2
 
 
 class TestSmallT:

@@ -301,6 +301,16 @@ class TestScaleGrid:
             t_grid(0.25, 0.5, 1 / 64, support_radius(P24), per_octave)
 
 
+    @pytest.mark.parametrize("c, b, match", [
+        (0.25, math.inf, "b < inf"),
+        (0.25, math.nan, "b < inf"),
+        (0.25, 1e300, "step ratio rounds to 1"),
+    ], ids=["inf", "nan", "1e300"])
+    def test_unbounded_or_flat_step_refused(self, c, b, match):
+        # log(1 + h/(2 b r)) is 0 once b is large enough, which divided by zero
+        with pytest.raises(ValueError, match=match):
+            t_grid(c, b, 1 / 64, support_radius(P24))
+
 class TestAxisSwapCurves:
     def test_curve_point_membership_under_swap(self):
         # a point on v = a u^beta maps to a point on the (1/beta)-curve with

@@ -182,6 +182,16 @@ class TestFileFormat:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("n", [2**62, 2**70], ids=["2^62", "2^70"])
+    def test_header_past_the_largest_array_dimension_names_the_short_row(self, tmp_path, n):
+        # 2^70 + 1 columns exceed numpy's largest dimension; the short row
+        # must be found before any array takes that shape
+        p = tmp_path / "t.pb"
+        p.write_bytes(b"PB %d\n0\n" % n)
+        with pytest.raises(RasterParseError, match=f"row 0 has 1 characters, expected {n} ") as exc:
+            load_raster(p)
+        assert exc.value.byte_offset == len(b"PB %d\n" % n)
+
     def test_sidecar_window(self, tmp_path):
         p = tmp_path / "t.pb"
         a = RasterSet(GridSpec(4, (2.0, -1.0), 8.0), np.eye(4, dtype=bool))
