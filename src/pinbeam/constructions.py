@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .kernel import Cutoff, CurveParams
+from .kernel import Cutoff, CurveParams, sample_points
 from .prospect import _GATHER_ELEMS, ScaleLadder, _block, _padded
 from .raster import GridSpec, RasterSet, cells_of_points
 
@@ -89,10 +89,11 @@ def carve_block_arcs(
     bitmap = padded.reshape(width, width)[:n, :n]
     x0, y0 = grid.origin
     xc, yc = x0 + (ix[:, None] + 0.5) * h, y0 + (iy[:, None] + 0.5) * h
-    ox, oy = blk.ox[blk.ties].ravel(), blk.oy[blk.ties].ravel()
-    step = max(1, _GATHER_ELEMS // max(1, ox.size))
+    ts = blk.ts[blk.ties]
+    step = max(1, _GATHER_ELEMS // max(1, ts.size * cutoff.node_count))
     for lo in range(0, len(flat), step):
-        jx, jy, inside = cells_of_points(grid, xc[lo : lo + step] + ox, yc[lo : lo + step] + oy)
+        xs, ys = sample_points(cutoff, ts, (xc[lo : lo + step], yc[lo : lo + step]))
+        jx, jy, inside = cells_of_points(grid, xs, ys)
         bitmap[jy[inside], jx[inside]] = False
     return RasterSet(grid, bitmap)
 

@@ -5,14 +5,12 @@ integer-shifted copies of the input: a sample offset (t*u, t*u^beta) moves
 every cell center by the same whole number of cells.  For each scale, nodes
 that share a cell shift form one group weighted by their summed weights, and
 the engine accumulates one weighted shifted copy per group, then folds the
-scale's average into a running per-cell extremum.  A Cutoff's nodes ascend,
-and so do their powers, so a scale's groups are runs of adjacent nodes and
-come in (dx, dy) order: one pass marks where runs start, and one bincount
-sums each run's weights in node order.
-
-Shifts are nonnegative: nodes are positive and beta > 0, so for a scale
-t > 0, the only scales the engine takes, floor(1/2 + (t/h) u) and
-floor(1/2 + (t/h) u^beta) are at least 0.  The engine adds each group with
+scale's average into a running per-cell extremum.  The shifts and their
+runs of adjacent nodes come from ``kernel.cell_shifts``, which states the
+sampling rule: shifts are nonnegative for the positive scales the engine
+takes, and a sample on the window's far edge reads 0.  A scale's groups come
+in (dx, dy) order, and one bincount sums each run's weights in node order.
+The engine adds each group with
 one BLAS daxpy.  Each call copies q once into a zero-padded buffer whose
 rows are widened on the far side by the largest column shift.  Viewed flat,
 the shifted copy that one group adds over a run of output rows is then a
@@ -58,10 +56,7 @@ def shift_table(cutoff: Cutoff, grid: GridSpec, ts: np.ndarray):
     groups of scale k occupy slice tptr[k]:tptr[k+1], sorted by (dx, dy).
     Weights of nodes falling in the same cell are summed in node order.
     """
-    sx, sy = (np.floor(f).astype(np.int64) for f in cell_shifts(cutoff, ts, grid.h))
-    # A node starts a run unless it shares its scale's previous node's shift.
-    first = np.ones(sx.shape, dtype=bool)
-    first[:, 1:] = (sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1])
+    sx, sy, first, _ = cell_shifts(cutoff, ts, grid)
     w = np.bincount(np.cumsum(first.ravel()) - 1, weights=np.tile(cutoff.weights, sx.shape[0]))
     tptr = np.concatenate([[0], np.cumsum(first.sum(axis=1))])
     return sx[first], sy[first], w, tptr

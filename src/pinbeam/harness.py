@@ -73,12 +73,12 @@ class HarnessConstants:
     p: float = 3.0
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not is_dyadic(self.rho):
             raise ValueError(f"rho must be a power of two, got {self.rho}")
-        if not self.p > 2:
-            raise ValueError(f"need p > 2, got {self.p}")
+        if not 2 < self.p < math.inf:
+            raise ValueError(f"need finite p > 2, got {self.p}")
 
     @classmethod
     def for_density(cls, delta: float, p: float = 3.0, alpha: float = 0.1,
@@ -134,7 +134,7 @@ def compute_j0(tau: float, params: CurveParams) -> int:
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     d = support_radius(params)
-    if tau >= d:
+    if tau > d:
         return 0
     k = max(1, math.ceil(0.5 * math.log2(d / tau)))
     while 2.0 ** (-2 * k) * d >= tau:

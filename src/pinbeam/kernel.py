@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .raster import RasterSet, sample_values
+from .raster import GridSpec, RasterSet, sample_values
 
 __all__ = [
     "AdmissibilityVerdict",
@@ -26,6 +26,7 @@ __all__ = [
     "cell_shifts",
     "curve_average",
     "param_from_scale",
+    "sample_points",
     "support_radius",
     "t_grid",
     "validate_params",
@@ -211,8 +212,13 @@ def build_cutoff(p: CurveParams, nodes: int = 128, plateau_frac: float = 0.5) ->
 # ---------------------------------------------------------------------------
 
 
-def _sample_points(cutoff: Cutoff, t: float, pt) -> tuple[np.ndarray, np.ndarray]:
-    x, y = float(pt[0]), float(pt[1])
+def sample_points(cutoff: Cutoff, t, pt) -> tuple[np.ndarray, np.ndarray]:
+    """Arc samples (x + t u_i, y + t u_i^beta) at scale t pinned at pt = (x, y).
+
+    t, x and y broadcast together; the nodes run along a new last axis.
+    """
+    t = np.asarray(t, dtype=np.float64)[..., None]
+    x, y = (np.asarray(c, dtype=np.float64)[..., None] for c in pt)
     return x + t * cutoff.nodes, y + t * cutoff.node_powers
 
 
@@ -224,8 +230,7 @@ def curve_average(f, t: float, pt, cutoff: Cutoff) -> float:
     """
     if not t > 0:
         raise ValueError(f"scale must be positive, got {t}")
-    xs, ys = _sample_points(cutoff, t, pt)
-    vals = sample_values(f, xs, ys)
+    vals = sample_values(f, *sample_points(cutoff, t, pt))
     return float(np.dot(cutoff.weights, vals))
 
 
@@ -237,20 +242,48 @@ def arc_hits_set(a: RasterSet, pt, t: float, cutoff: Cutoff) -> np.ndarray:
     """
     if not t > 0:
         raise ValueError(f"scale must be positive, got {t}")
-    xs, ys = _sample_points(cutoff, t, pt)
-    vals = sample_values(a, xs, ys)
-    return t * cutoff.nodes[vals > 0]
+    return t * cutoff.nodes[sample_values(a, *sample_points(cutoff, t, pt))]
 
 
-def cell_shifts(cutoff: Cutoff, ts: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """1/2 + (t/h) * u and 1/2 + (t/h) * u^beta over (scale, node).
+def cell_shifts(cutoff: Cutoff, ts: np.ndarray, grid: GridSpec):
+    """Where each arc sample falls on the raster, over (scale, node): the sampling rule.
 
-    Their floors are the whole-cell shifts of each arc sample from a cell
-    centre; the one rounding rule that the field engine and the ladder scan
-    share.
+    From the centre of cell (ix, iy), the sample at offset (t u, t u^beta)
+    lies in cell (ix + sx, iy + sy), (sx, sy) = floor(1/2 + (t / h) (u, u^beta)),
+    and inside the window iff ix + sx < n and iy + sy < n, as
+    ``raster.cells_of_points`` reads it, except on a tie scale: one with some
+    1/2 + (t / h) u or 1/2 + (t / h) u^beta within rounding distance of an
+    integer (a sample on or next to a cell edge, the window's far edge among
+    them).  The ladder scan, the block-hypothesis check and the arc carving
+    look tie scales up by point; the field engine, which serves only float
+    fields, takes the shifts as they are, so it reads a far-edge sample as 0.
+
+    Shifts are nonnegative (t, u > 0), and a scale's equal shifts are runs of
+    adjacent nodes (nodes and their powers ascend).  Returns int64 ``sx``,
+    ``sy`` of shape (scales, nodes), bool ``starts`` of that shape marking
+    each run's first node, and bool ``ties`` marking the tie scales.
     """
-    tk = (np.asarray(ts, dtype=np.float64) / h)[:, None]
-    return 0.5 + tk * cutoff.nodes, 0.5 + tk * cutoff.node_powers
+    h = grid.h
+    ts = np.asarray(ts, dtype=np.float64)
+    tk = (ts / h)[:, None]
+    # Bound, in cells, on the gap between floor(1/2 + (t / h) u) and the float
+    # lookup floor((x0 + (ix + 1/2) h + t u - x0) / h) - ix, and likewise in
+    # y; it also covers the few ulps between (t / h) u and (t u) / h.
+    x0, y0 = grid.origin
+    reach = ts.max(initial=0.0) * max(cutoff.nodes.max(), cutoff.node_powers.max())
+    margin = 8.0 * np.finfo(np.float64).eps * (abs(x0) + abs(y0) + grid.side + reach) / h
+    ties = np.zeros(len(ts), dtype=bool)
+    shifts = []
+    for f in (0.5 + tk * cutoff.nodes, 0.5 + tk * cutoff.node_powers):
+        s = np.floor(f)
+        f -= s
+        f -= 0.5
+        ties |= (np.abs(f, out=f) >= 0.5 - margin).any(axis=1)
+        shifts.append(s.astype(np.int64))
+    sx, sy = shifts
+    starts = np.ones(sx.shape, dtype=bool)
+    starts[:, 1:] = (sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1])
+    return sx, sy, starts, ties
 
 
 def t_grid(c: float, b: float, h: float, radius: float, min_per_octave: int = 16) -> np.ndarray:

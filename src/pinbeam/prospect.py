@@ -8,18 +8,13 @@ per sampled scale, so its claim is finitely checkable by direct membership
 lookups.  Exponents below 1 route through the coordinate swap and the
 certificate is expressed back in the caller's system.
 
-Sample points follow the one convention of ``raster.cells_of_points``.  A
-sample at offset (t u, t u^beta) from the centre of cell (ix, iy) lies in
-cell (ix + sx, iy + sy) with (sx, sy) = floor(1/2 + (t / h) (u, u^beta)),
-the rounding rule of ``kernel.cell_shifts``, so the scan reads integer
-offsets from a zero-padded bitmap, one gather per batch of cells.  This is
-a shortcut, kept exact by a tie guard: a scale with some 1/2 + (t / h) u or
-1/2 + (t / h) u^beta within rounding distance of an integer (a sample on or
-next to a cell edge, the window's far edge among them) is looked up through
-``cells_of_points`` instead.  The scan's outcome is therefore the one that
-per-point lookups give, bit for bit.  Without a certificate, the scan's
-centres and violating scales fill the exhaustion file's columns directly
-(``ExhaustionReport``).  The same scan answers the decomposition's block
+The scan reads arc samples as integer offsets into a zero-padded bitmap,
+one gather per batch of cells, by the sampling rule of
+``kernel.cell_shifts``; the tie scales that rule flags are looked up
+through ``raster.sample_values`` instead.  The scan's outcome is therefore
+the one that per-point lookups give, bit for bit.  Without a certificate,
+the scan's centres and violating scales fill the exhaustion file's columns
+directly (``ExhaustionReport``).  The same scan answers the decomposition's block
 hypothesis (every set point has a block scale whose arc misses the set),
 and ``constructions.carve_block_arcs`` runs its gather as a scatter.
 """
@@ -38,11 +33,12 @@ from .kernel import (
     build_cutoff,
     cell_shifts,
     param_from_scale,
+    sample_points,
     support_radius,
     t_grid,
     validate_params,
 )
-from .raster import GridSpec, RasterSet, axis_swap, cells_of_points
+from .raster import GridSpec, RasterSet, axis_swap, sample_values
 
 __all__ = [
     "BeamCertificate",
@@ -134,6 +130,8 @@ def default_ladder(depth: int) -> ScaleLadder:
     """Consecutive dyadic scales b_j = 2^(-2j+1), c_j = 2^(-2j)."""
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
+    if depth > 537:  # c_537 = 2^-1074 is the least positive float
+        raise ValueError(f"ladder depth {depth} is too deep: c_J = 2^(-2J) is 0 past J = 537")
     return ScaleLadder(tuple((2.0 ** (-2 * j + 1), 2.0 ** (-2 * j)) for j in range(1, depth + 1)))
 
 
@@ -141,9 +139,12 @@ def j_bound(delta: float, cprime: float) -> int:
     """Ladder depth floor(delta^-cprime) + 1 that forces a certified block."""
     if not (0 < delta <= 0.5):
         raise ValueError(f"need 0 < delta <= 1/2, got {delta}")
-    if cprime < 1:
+    if not cprime >= 1:
         raise ValueError(f"need cprime >= 1, got {cprime}")
-    return int(math.floor(delta**-cprime)) + 1
+    try:
+        return math.floor(delta**-cprime) + 1
+    except OverflowError:
+        raise ValueError(f"ladder depth overflows at delta={delta}, cprime={cprime}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -219,26 +220,16 @@ class ExhaustionReport:
         return tuple(((x, y), tuple(zip(js, row))) for x, y, *row in zip(self.x, self.y, *self.t))
 
 
-@dataclass(frozen=True)
-class _WorkingSystem:
-    raster: RasterSet
-    params: CurveParams
-    cutoff: Cutoff
-    swapped: bool
-
-
-def _working_system(a: RasterSet, params: CurveParams, sampling: SamplingConfig) -> _WorkingSystem:
+def _working_system(
+    a: RasterSet, params: CurveParams, sampling: SamplingConfig
+) -> tuple[RasterSet, Cutoff]:
+    """The raster and cutoff of the beta > 1 system: swapped iff params.requires_swap."""
     verdict = validate_params(params)
     if not verdict.ok:
         raise ValueError(f"inadmissible curve parameters: {verdict.reason}")
     if params.requires_swap:
-        work_params = params.swapped()
-        work_raster = axis_swap(a)
-        swapped = True
-    else:
-        work_params, work_raster, swapped = params, a, False
-    cutoff = build_cutoff(work_params, sampling.nodes, sampling.plateau_frac)
-    return _WorkingSystem(work_raster, work_params, cutoff, swapped)
+        a, params = axis_swap(a), params.swapped()
+    return a, build_cutoff(params, sampling.nodes, sampling.plateau_frac)
 
 
 def check_arc_resolution(grid: GridSpec, theta: float, b: float, what: str) -> None:
@@ -274,8 +265,6 @@ class _Block:
     """
 
     ts: np.ndarray
-    ox: np.ndarray
-    oy: np.ndarray
     distinct: np.ndarray
     rows: np.ndarray
     starts: np.ndarray
@@ -286,32 +275,11 @@ class _Block:
 def _block(
     grid: GridSpec, cutoff: Cutoff, ladder: ScaleLadder, j: int, min_per_octave: int, width: int
 ) -> _Block:
-    n, h = grid.n, grid.h
     b, c = ladder.block(j)
-    ts = t_grid(c, b, h, support_radius(cutoff.params), min_per_octave)
-    ox = np.outer(ts, cutoff.nodes)
-    oy = np.outer(ts, cutoff.node_powers)
-    # Bound on the gap between floor(1/2 + (t / h) u), the field engine's
-    # rounding rule, and the per-point lookup's float path,
-    # floor((x0 + (ix + 1/2) h + t u - x0) / h) - ix, and likewise in y; a
-    # scale with a sample this close to an edge is a tie.  The margin also
-    # covers the few ulps between (t / h) u and (t u) / h.
-    x0, y0 = grid.origin
-    extent = abs(x0) + abs(y0) + grid.side + max(ox.max(), oy.max())
-    margin = 8.0 * np.finfo(np.float64).eps * extent / h
-    near = np.zeros(len(ts), dtype=bool)
-    shifts = []
-    for f in cell_shifts(cutoff, ts, h):
-        s = np.floor(f)
-        f -= s
-        f -= 0.5
-        near |= (np.abs(f, out=f) >= 0.5 - margin).any(axis=1)
-        shifts.append(s.astype(np.int64))
-    sx, sy = shifts
-    keep = (sx < n) & (sy < n) & ~near[:, None]
-    # Nodes and their powers ascend for any beta > 0, so repeated offsets
-    # within a scale are adjacent.
-    keep[:, 1:] &= (sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1])
+    ts = t_grid(c, b, grid.h, support_radius(cutoff.params), min_per_octave)
+    sx, sy, starts, ties = cell_shifts(cutoff, ts, grid)
+    # One entry per run of equal offsets, in range and off the tie scales.
+    keep = starts & (sx < grid.n) & (sy < grid.n) & ~ties[:, None]
     counts = keep.sum(axis=1)
     filled = counts > 0
     # Neighbouring scales move arcs by at most half a cell, so they share most
@@ -319,13 +287,11 @@ def _block(
     distinct, rows = np.unique((sy * width + sx)[keep], return_inverse=True)
     return _Block(
         ts=ts,
-        ox=ox,
-        oy=oy,
         distinct=distinct,
         rows=rows,
         starts=(np.cumsum(counts) - counts)[filled],
         filled=filled,
-        ties=np.flatnonzero(near),
+        ties=np.flatnonzero(ties),
     )
 
 
@@ -355,13 +321,8 @@ def _batches(cells: np.ndarray, grid: GridSpec, width: int):
         start, size = start + size, 2 * size
 
 
-def _hits_matrix(work_raster: RasterSet, xc, yc, ox, oy) -> np.ndarray:
-    ix, iy, inside = cells_of_points(work_raster.grid, xc + ox, yc + oy)
-    return inside & work_raster.bitmap[iy, ix]
-
-
 def _first_misses(
-    blk: _Block, padded: np.ndarray, flat: np.ndarray, xc, yc, work_raster: RasterSet
+    blk: _Block, cutoff: Cutoff, padded: np.ndarray, flat: np.ndarray, xc, yc, raster: RasterSet
 ) -> np.ndarray:
     """Per cell, the index of the first scale without a witness (len(ts) if none)."""
     n_scales = len(blk.ts)
@@ -377,28 +338,25 @@ def _first_misses(
             anyhit = np.bitwise_or.reduceat(bits[blk.rows], blk.starts, axis=0)
             hit[blk.filled] = np.unpackbits(anyhit, axis=1, count=hi - lo).view(bool)
         for k in blk.ties:
-            xs, ys = xc[lo:hi, None], yc[lo:hi, None]
-            hit[k] = _hits_matrix(work_raster, xs, ys, blk.ox[k], blk.oy[k]).any(axis=1)
+            xs, ys = sample_points(cutoff, blk.ts[k], (xc[lo:hi], yc[lo:hi]))
+            hit[k] = sample_values(raster, xs, ys).any(axis=1)
         out[lo:hi] = np.where(hit.all(axis=0), n_scales, hit.argmin(axis=0))
     return out
 
 
 def _certificate(
-    params: CurveParams,
-    swapped: bool,
-    xc: float,
-    yc: float,
-    j: int,
-    ts: np.ndarray,
-    ox: np.ndarray,
-    oy: np.ndarray,
+    params: CurveParams, cutoff: Cutoff, xc: float, yc: float, j: int, ts: np.ndarray,
     hits: np.ndarray,
 ) -> BeamCertificate:
+    """The certificate of block j at (xc, yc), from the working system's hits.
+
+    hits[k, i] tells whether node i's sample at scale ts[k] lies in the set;
+    each scale's witness is its first such node.
+    """
     first = hits.argmax(axis=1)
-    rows = np.arange(len(ts))
-    u, v = ox[rows, first], oy[rows, first]
+    u, v = ts * cutoff.nodes[first], ts * cutoff.node_powers[first]
     point = (float(xc), float(yc))
-    if swapped:
+    if params.requires_swap:
         point, u, v = point[::-1], v, u
     t = ts.tolist()
     c, b = t[0], t[-1]
@@ -439,12 +397,12 @@ def prospect(
     """
     if a.cell_count == 0:
         raise ValueError("cannot prospect an empty set")
-    work = _working_system(a, params, sampling)
-    grid = work.raster.grid
+    raster, cutoff = _working_system(a, params, sampling)
+    grid = raster.grid
     b_last = ladder.block(ladder.depth)[0]
-    check_arc_resolution(grid, work.params.theta, b_last, f"finest ladder block (b_J={b_last:g})")
-    cells = _scan_cells(work.raster, sampling)
-    padded, width = _padded(work.raster, ladder.block(1)[0], work.cutoff)
+    check_arc_resolution(grid, cutoff.params.theta, b_last, f"finest ladder block (b_J={b_last:g})")
+    cells = _scan_cells(raster, sampling)
+    padded, width = _padded(raster, ladder.block(1)[0], cutoff)
 
     # Batches double from one cell, so an early certificate costs little; a
     # later block only sees the cells before the batch's first certified one.
@@ -458,22 +416,20 @@ def prospect(
             if limit == 0:
                 break
             if j not in blocks:
-                blocks[j] = _block(grid, work.cutoff, ladder, j, sampling.min_per_octave, width)
+                blocks[j] = _block(grid, cutoff, ladder, j, sampling.min_per_octave, width)
             blk = blocks[j]
-            miss = _first_misses(blk, padded, flat[:limit], xc[:limit], yc[:limit], work.raster)
+            miss = _first_misses(blk, cutoff, padded, flat[:limit], xc[:limit], yc[:limit], raster)
             passed = miss == len(blk.ts)
             if passed.any():
                 limit, cert_j = int(passed.argmax()), j
             t_cols[j - 1, done : done + limit] = blk.ts[miss[:limit]]
         if cert_j:
-            blk = blocks[cert_j]
-            hits = _hits_matrix(work.raster, xc[limit], yc[limit], blk.ox, blk.oy)
-            return _certificate(
-                params, work.swapped, xc[limit], yc[limit], cert_j, blk.ts, blk.ox, blk.oy, hits
-            )
+            ts = blocks[cert_j].ts
+            hits = sample_values(raster, *sample_points(cutoff, ts, (xc[limit], yc[limit])))
+            return _certificate(params, cutoff, xc[limit], yc[limit], cert_j, ts, hits)
         xs[done : done + len(flat)], ys[done : done + len(flat)] = xc, yc
         done += len(flat)
-    if work.swapped:
+    if params.requires_swap:
         xs, ys = ys, xs
     t = tuple(map(tuple, t_cols.tolist()))
     return ExhaustionReport(ladder, tuple(xs.tolist()), tuple(ys.tolist()), t, len(cells))
@@ -485,14 +441,14 @@ def block_hypothesis_holds(
     """True iff every set cell has a scale of block j whose arc misses the set.
 
     The arcs are the cutoff's own (no coordinate swap), sampled on the scale
-    grid of ``t_grid`` for the block, and membership follows
-    ``cells_of_points``.  Stops at the first batch of cells that holds a
+    grid of ``t_grid`` for the block, and read by the sampling rule of
+    ``kernel.cell_shifts``.  Stops at the first batch of cells that holds a
     cell with a witness at every scale.
     """
     padded, width = _padded(a, ladder.block(j)[0], cutoff)
     blk = _block(a.grid, cutoff, ladder, j, min_per_octave, width)
     return all(
-        (_first_misses(blk, padded, flat, xc, yc, a) < len(blk.ts)).all()
+        (_first_misses(blk, cutoff, padded, flat, xc, yc, a) < len(blk.ts)).all()
         for flat, xc, yc in _batches(np.flatnonzero(a.bitmap), a.grid, width)
     )
 
@@ -525,23 +481,20 @@ def verify_certificate(
         raise ValueError(f"need refinement >= 1, got {refinement}")
     failures = []
     # The certificate's parameters are checked as prospect checks its own.
-    work = _working_system(a, CurveParams(cert.beta, cert.eta, cert.theta), sampling)
-    px, py = cert.point[::-1] if work.swapped else cert.point
+    params = CurveParams(cert.beta, cert.eta, cert.theta)
+    raster, cutoff = _working_system(a, params, sampling)
+    px, py = cert.point[::-1] if params.requires_swap else cert.point
 
-    ix, iy, in_set = cells_of_points(a.grid, cert.hit_x, cert.hit_y)
-    in_set[in_set] = a.bitmap[iy[in_set], ix[in_set]]
+    in_set = sample_values(a, cert.hit_x, cert.hit_y)
     for idx in np.flatnonzero(~in_set).tolist():
         hx, hy = cert.hit_x[idx], cert.hit_y[idx]
         failures.append(f"sample {idx}: claimed hit ({hx:.17g}, {hy:.17g}) is not in the set")
 
     c, b = cert.t_interval
-    ts_std = t_grid(c, b, work.raster.grid.h, support_radius(work.params), sampling.min_per_octave)
+    ts_std = t_grid(c, b, raster.grid.h, support_radius(cutoff.params), sampling.min_per_octave)
     n_fine = (len(ts_std) - 1) * int(refinement) + 1
     ts_fine = np.geomspace(c, b, n_fine) if n_fine > 1 else np.array([c])
-    ox = np.outer(ts_fine, work.cutoff.nodes)
-    oy = np.outer(ts_fine, work.cutoff.node_powers)
-    hits = _hits_matrix(work.raster, px, py, ox, oy)
-    ok_t = hits.any(axis=1)
+    ok_t = sample_values(raster, *sample_points(cutoff, ts_fine, (px, py))).any(axis=1)
     if not ok_t.all():
         t_bad = float(ts_fine[int(ok_t.argmin())])
         failures.append(f"refined scan: no witness at scale t = {t_bad:.17g}")

@@ -133,12 +133,8 @@ def cells_of_points(grid: GridSpec, xs: np.ndarray, ys: np.ndarray):
     Cell ix covers the half-open interval [x0 + ix h, x0 + (ix + 1) h), and
     likewise in y.  The window itself is closed: a point on its far edge
     x = x0 + side (or y = y0 + side) is inside and clamps to the last cell.
-    Curve averages, arc carving, the ladder search, the block-hypothesis
-    check and certificate verification all follow it (the carving, the
-    search and the check through integer offsets kept exact by a tie guard,
-    ``prospect._block``).  The extremal field engine in ``fields`` uses bare
-    integer shifts, which read 0 on the far edge; they serve only float
-    fields, and no set-membership answer uses them.
+    Arc samples pinned at cell centres reach it through the integer shifts
+    of ``kernel.cell_shifts``, which states the rule and its one exception.
     Returns integer index arrays ``(ix, iy)`` plus a boolean mask of points
     inside the closed window.
     """
@@ -155,14 +151,15 @@ def cells_of_points(grid: GridSpec, xs: np.ndarray, ys: np.ndarray):
 
 
 def sample_values(obj, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Evaluate a set indicator or field at points; outside the window reads 0."""
+    """A set or field at points, looked up by ``cells_of_points``.
+
+    For a RasterSet, set membership as booleans; for a field, its values as
+    float64.  A point outside the window reads False or 0.
+    """
+    ix, iy, inside = cells_of_points(obj.grid, xs, ys)
     if isinstance(obj, RasterSet):
-        grid, data = obj.grid, obj.bitmap
-    else:
-        grid, data = obj.grid, obj.values
-    ix, iy, inside = cells_of_points(grid, xs, ys)
-    out = np.where(inside, data[iy, ix].astype(np.float64), 0.0)
-    return out
+        return inside & obj.bitmap[iy, ix]
+    return np.where(inside, obj.values[iy, ix], 0.0)
 
 
 def axis_swap(a: RasterSet) -> RasterSet:

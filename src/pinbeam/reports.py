@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import typing
 from dataclasses import asdict, dataclass, field
@@ -199,6 +200,12 @@ class RunConfig:
     subsample: int | None = None
     outdir: str = "."
 
+    def __post_init__(self):
+        for name, typ in self.key_types().items():
+            value = getattr(self, name)
+            if typ is float and value is not None and not math.isfinite(value):
+                raise ValueError(f"config key {name!r} must be finite, got {value!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -255,5 +262,6 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_json(path, obj: dict) -> None:
+    """Write obj as compact JSON; a non-finite real raises ValueError, writing nothing."""
     # Compact separators (no indent) keep json on its C encoder.
-    atomic_write_text(path, json.dumps(obj, separators=(",", ":")) + "\n")
+    atomic_write_text(path, json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")

@@ -278,6 +278,21 @@ class TestReportsRoundTrip:
             RunConfig.from_dict(body)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("key", ["tau", "delta", "cprime", "beta"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_config_refuses_non_finite_reals(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be finite"):
+            RunConfig(**{key: value})
+        with pytest.raises(ValueError, match=f"config key '{key}' must be finite"):
+            RunConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_write_json_refuses_non_finite_reals(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="Out of range float"):
+            write_json(path, {"bound": [1.0, value]})
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_keys_and_types_come_from_run_config(self):
         types = RunConfig.key_types()
         assert list(types) == list(RunConfig.__dataclass_fields__)
@@ -394,6 +409,32 @@ class TestProspectCmd:
                    "--nodes", "32", "--ladder-depth", "1", flag, value])
         assert rc == EXIT_ERROR
         assert capsys.readouterr().err == f"error: need {name} >= 1, got {value}\n"
+        assert not out.exists()
+
+    def test_non_finite_delta_refused(self, tmp_path, capsys):
+        raster = tmp_path / "a.pb"
+        save_raster(full_square(64), raster)
+        out = tmp_path / "c.json"
+        rc = main(["prospect", "--input", str(raster), "--out", str(out),
+                   "--nodes", "32", "--ladder-depth", "1", "--delta", "inf"])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == "error: config key 'delta' must be finite, got inf\n"
+        assert list(tmp_path.iterdir()) == [raster]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--cprime", "1e6"], "ladder depth overflows at delta=0.4, cprime=1000000.0"),
+        (["--cprime", "10"], "ladder depth 9537 is too deep"),
+        (["--cprime", "25"], "ladder depth 8881784198 is too deep"),
+        (["--ladder-depth", "1000000000000"], "ladder depth 1000000000000 is too deep"),
+    ], ids=["overflow", "cprime-10", "cprime-25", "huge-depth"])
+    def test_unbuildable_ladder_depth_is_one_error_line(self, tmp_path, capsys, flags, message):
+        raster = tmp_path / "a.pb"
+        save_raster(full_square(64), raster)
+        out = tmp_path / "c.json"
+        rc = main(["prospect", "--input", str(raster), "--out", str(out), "--nodes", "32", *flags])
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_exhaustion_exit_code(self, tmp_path):
@@ -668,6 +709,44 @@ class TestHarnessCmd:
         assert capsys.readouterr().err == "error: need alpha > 0, got 0.0\n"
         assert engine_runs == []
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--tau", "inf"], "tau"), (["--c0", "inf"], "c0"), (["--p", "nan"], "p"),
+    ], ids=["tau", "c0", "p"])
+    def test_non_finite_flag_refused(self, tmp_path, capsys, engine_runs, flags, key):
+        raster = tmp_path / "a.pb"
+        save_raster(generate_random(GridSpec(64), 0.4, 3), raster)
+        outdir = tmp_path / "out"
+        rc = main(["harness", "--input", str(raster), "--blocks", "2", "--rhos", "0.25",
+                   "--nodes", "32", "--outdir", str(outdir), *flags])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}' must be finite")
+        assert engine_runs == []
+        assert not outdir.exists()
+
+    def test_non_finite_config_file_value_refused(self, tmp_path, capsys):
+        raster = tmp_path / "a.pb"
+        save_raster(generate_random(GridSpec(64), 0.4, 3), raster)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tau": Infinity}')
+        outdir = tmp_path / "out"
+        rc = main(["harness", "--input", str(raster), "--config", str(cfg),
+                   "--outdir", str(outdir)])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == "error: config key 'tau' must be finite, got inf\n"
+        assert not outdir.exists()
+
+    def test_overflowing_bound_is_an_error_not_a_json_token(self, tmp_path, capsys):
+        # the bound integral - 4 tau overflows to -inf at tau = 1e308
+        raster = tmp_path / "a.pb"
+        save_raster(generate_random(GridSpec(64), 0.4, 3), raster)
+        outdir = tmp_path / "out"
+        rc = main(["harness", "--input", str(raster), "--blocks", "2", "--rhos", "0.25",
+                   "--nodes", "32", "--tau", "1e308", "--c0", "1", "--outdir", str(outdir)])
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.endswith("error: Out of range float values are not JSON compliant\n")
+        assert list(outdir.iterdir()) == []
 
     def test_config_file_with_flag_override(self, tmp_path):
         raster = tmp_path / "a.pb"

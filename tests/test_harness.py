@@ -64,6 +64,15 @@ class TestConstants:
         with pytest.raises(ValueError):
             HarnessConstants(tau=0.1, rho=0.5, p=2.0)
 
+    @pytest.mark.parametrize("tau, p, match", [
+        (math.inf, 3.0, "tau must be positive and finite, got inf"),
+        (math.nan, 3.0, "tau must be positive and finite, got nan"),
+        (0.1, math.inf, "need finite p > 2, got inf"),
+    ], ids=["inf-tau", "nan-tau", "inf-p"])
+    def test_non_finite_constants_refused(self, tau, p, match):
+        with pytest.raises(ValueError, match=match):
+            HarnessConstants(tau=tau, rho=0.5, p=p)
+
 
 class TestPairing:
     def test_full_window_constant(self):
@@ -90,10 +99,16 @@ class TestPairing:
 
 
 class TestComputeJ0:
-    def test_tau_at_least_radius_gives_zero(self):
-        d = math.sqrt(2.4**2 + 2.4**4)
-        assert compute_j0(d, P24) == 0
+    def test_tau_above_radius_gives_zero(self):
+        d = support_radius(P24)
+        assert compute_j0(math.nextafter(d, math.inf), P24) == 0
         assert compute_j0(10.0, P24) == 0
+
+    def test_tau_at_radius_gives_one(self):
+        # 2^0 D < D fails and 2^-2 D < D holds, as one ulp below D
+        d = support_radius(P24)
+        assert compute_j0(d, P24) == 1
+        assert compute_j0(math.nextafter(d, 0.0), P24) == 1
 
     def test_reference_value(self):
         # D = sqrt(5.76 + 33.1776) = 6.24, tau = 0.1: ceil(log2(62.4)/2) = 3

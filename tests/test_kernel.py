@@ -22,7 +22,7 @@ from pinbeam import (
     validate_params,
 )
 from pinbeam.constructions import carve_block_arcs
-from pinbeam.kernel import t_grid
+from pinbeam.kernel import cell_shifts, sample_points, t_grid
 from pinbeam.prospect import default_ladder
 from pinbeam.raster import cells_of_points
 
@@ -310,6 +310,35 @@ class TestScaleGrid:
         # log(1 + h/(2 b r)) is 0 once b is large enough, which divided by zero
         with pytest.raises(ValueError, match=match):
             t_grid(c, b, 1 / 64, support_radius(P24))
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x0=st.floats(-3.0, 3.0), y0=st.floats(-3.0, 3.0), side=st.floats(0.3, 4.0),
+    n=st.sampled_from([8, 16, 64]),
+    params=st.sampled_from([CurveParams(2.0, 1.0, 2.4), CurveParams(1.5, 0.5, 1.7),
+                            CurveParams(3.0, 1.0, 1.3), CurveParams(0.5, 1.0, 2.4)]),
+    nodes=st.integers(8, 40),
+    fracs=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=6),
+    ix=st.integers(0, 63), iy=st.integers(0, 63),
+)
+def test_cell_shifts_agree_with_float_lookup_off_ties(x0, y0, side, n, params, nodes, fracs,
+                                                       ix, iy):
+    # beta < 1 cutoffs are used unswapped by the block-hypothesis check
+    grid = GridSpec(n, (x0, y0), side)
+    cutoff = build_cutoff(params, nodes, 0.5)
+    ts = np.array(fracs) * side
+    ix, iy = ix % n, iy % n
+    sx, sy, starts, ties = cell_shifts(cutoff, ts, grid)
+    assert (sx >= 0).all() and (sy >= 0).all()
+    assert starts[:, 0].all()
+    assert (starts[:, 1:] == ((sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1]))).all()
+    xc, yc = x0 + (ix + 0.5) * grid.h, y0 + (iy + 0.5) * grid.h
+    jx, jy, inside = cells_of_points(grid, *sample_points(cutoff, ts, (xc, yc)))
+    off = ~ties
+    assert (((ix + sx < n) & (iy + sy < n)) == inside)[off].all()
+    ok = off[:, None] & inside
+    assert (jx == ix + sx)[ok].all() and (jy == iy + sy)[ok].all()
+
 
 class TestAxisSwapCurves:
     def test_curve_point_membership_under_swap(self):

@@ -32,20 +32,19 @@ from pinbeam import (
     verify_certificate,
 )
 from pinbeam.constructions import carve_block_arcs, checkerboard, dead_strip_set
-from pinbeam.kernel import support_radius, t_grid
+from pinbeam.kernel import sample_points, support_radius, t_grid
 from pinbeam.prospect import (
     DenseWindowResult,
     ResolutionError,
     _block,
     _certificate,
-    _hits_matrix,
     _padded,
     _summed_area,
     _window_counts,
     _working_system,
     block_hypothesis_holds,
 )
-from pinbeam.raster import cells_of_points
+from pinbeam.raster import cells_of_points, sample_values
 
 from conftest import full_square
 
@@ -78,6 +77,15 @@ class TestLadder:
         with pytest.raises(ValueError, match="dyadic"):
             ScaleLadder(((0.5, 0.3),))
 
+    def test_deepest_ladder_ends_at_the_least_subnormal(self):
+        assert default_ladder(537).block(537) == (2.0**-1073, 2.0**-1074)
+
+    @pytest.mark.parametrize("depth", [538, 9537, 10**12])
+    def test_depth_whose_c_underflows_refused_before_building(self, depth):
+        # 10**12 blocks would not fit in memory: the check must come first
+        with pytest.raises(ValueError, match=f"ladder depth {depth} is too deep"):
+            default_ladder(depth)
+
 
 class TestJBound:
     def test_reference_values(self):
@@ -90,6 +98,11 @@ class TestJBound:
             j_bound(0.6, 1.0)
         with pytest.raises(ValueError):
             j_bound(0.4, 0.5)
+
+    @pytest.mark.parametrize("cprime", [1e6, math.inf])
+    def test_overflowing_depth_refused(self, cprime):
+        with pytest.raises(ValueError, match="overflows"):
+            j_bound(0.4, cprime)
 
 
 class TestDyadicRounding:
@@ -312,17 +325,11 @@ class TestCompleteness:
 
 def reference_prospect(a, ladder, params, sampling=SamplingConfig()):
     """The per-cell, per-block point-lookup scan that the batched scan replaced."""
-    work = _working_system(a, params, sampling)
-    grid = work.raster.grid
-    radius = support_radius(work.params)
-    tables = []
-    for j in range(1, ladder.depth + 1):
-        b, c = ladder.block(j)
-        ts = t_grid(c, b, grid.h, radius, sampling.min_per_octave)
-        ox = np.outer(ts, work.cutoff.nodes)
-        oy = np.outer(ts, work.cutoff.node_powers)
-        tables.append((ts, ox, oy))
-    cells = np.argwhere(work.raster.bitmap)
+    raster, cutoff = _working_system(a, params, sampling)
+    grid = raster.grid
+    radius = support_radius(cutoff.params)
+    tables = [t_grid(c, b, grid.h, radius, sampling.min_per_octave) for b, c in ladder.entries]
+    cells = np.argwhere(raster.bitmap)
     if sampling.subsample is not None and cells.shape[0] > sampling.subsample:
         rng = np.random.default_rng(sampling.seed)
         keep = rng.choice(cells.shape[0], size=sampling.subsample, replace=False)
@@ -333,13 +340,13 @@ def reference_prospect(a, ladder, params, sampling=SamplingConfig()):
     for iy, ix in cells:
         xc = x0 + (ix + 0.5) * h
         yc = y0 + (iy + 0.5) * h
-        for j, (ts, ox, oy) in enumerate(tables, start=1):
-            hits = _hits_matrix(work.raster, xc, yc, ox, oy)
+        for j, ts in enumerate(tables, start=1):
+            hits = sample_values(raster, *sample_points(cutoff, ts, (xc, yc)))
             ok_t = hits.any(axis=1)
             if ok_t.all():
-                return _certificate(params, work.swapped, xc, yc, j, ts, ox, oy, hits)
+                return _certificate(params, cutoff, xc, yc, j, ts, hits)
             t_cols[j - 1].append(float(ts[int(ok_t.argmin())]))
-        point = (yc, xc) if work.swapped else (xc, yc)
+        point = (yc, xc) if params.requires_swap else (xc, yc)
         xs.append(float(point[0]))
         ys.append(float(point[1]))
     return ExhaustionReport(ladder, tuple(xs), tuple(ys), tuple(map(tuple, t_cols)), len(cells))

@@ -261,8 +261,11 @@ class TestSampling:
 
     def test_outside_reads_zero(self):
         a = full_square(4)
-        vals = sample_values(a, np.array([-0.01, 0.5, 1.01]), np.array([0.5, 0.5, 0.5]))
-        assert list(vals) == [0.0, 1.0, 0.0]
+        xs, ys = np.array([-0.01, 0.5, 1.01]), np.array([0.5, 0.5, 0.5])
+        vals = sample_values(a, xs, ys)
+        assert vals.dtype == bool and list(vals) == [False, True, False]
+        vals = sample_values(indicator(a), xs, ys)
+        assert vals.dtype == np.float64 and list(vals) == [0.0, 1.0, 0.0]
 
 
 class TestAxisSwap:
