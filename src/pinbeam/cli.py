@@ -16,7 +16,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ import numpy as np
 from . import constructions, fields, smoothing
 from .harness import (
     HarnessConstants,
-    _block_scales,
     block_fields,
     check_smallt_scaling,
     compute_decomposition,
@@ -193,13 +192,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAIL
 
 
-def _admissible_blocks(constants: HarnessConstants, params: CurveParams,
-                       grid: GridSpec) -> list[int]:
-    """Blocks past J0, up to 8, whose fine smoothing scale rho*c_j resolves on the grid."""
-    j0 = compute_j0(constants.tau, params)
-    return [j for j in range(j0 + 1, 9) if constants.rho * 2.0 ** (-2 * j) >= grid.h]
-
-
 def _cmd_harness(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     raster = load_raster(args.input)
@@ -209,21 +201,28 @@ def _cmd_harness(args: argparse.Namespace) -> int:
     constants = HarnessConstants.for_density(
         cfg.delta, p=cfg.p, alpha=cfg.alpha, c0=cfg.c0, tau=cfg.tau, rho=cfg.rho
     )
+    bound = measure(raster) - 4.0 * constants.tau
+    if not np.isfinite(bound):
+        raise ValueError(f"the bound integral(f) - 4 tau is {bound} at tau = {constants.tau:g}")
     cutoff = build_cutoff(params, cfg.nodes, cfg.plateau_frac)
     grid = raster.grid
 
-    blocks = args.blocks or _admissible_blocks(constants, params, grid)
+    # Blocks past J0, up to 8, whose fine smoothing scale rho*c_j resolves on the grid.
+    j0 = compute_j0(constants.tau, params)
+    blocks = args.blocks or [
+        j for j in range(j0 + 1, 9) if constants.rho * 2.0 ** (-2 * j) >= grid.h
+    ]
     if not blocks:
+        raise ValueError("no admissible blocks: raise the resolution, lower rho, or raise tau")
+    if min(blocks) <= j0:
         raise ValueError(
-            "no admissible blocks: raise the resolution, lower rho, or raise tau"
+            f"block index {min(blocks)} must exceed J0 = {j0} for tau = {constants.tau:g}"
         )
     rhos = args.rhos or [constants.rho]
     ladder = default_ladder(max(blocks))
-    square_sums = len(blocks) >= 2 and blocks == list(range(blocks[0], blocks[-1] + 1))
-    if square_sums:
-        # The square sums run last; check their smoothing scales before any field.
-        for j in blocks:
-            _block_scales(grid, ladder, j, constants.rho)
+    sq = None
+    if len(blocks) >= 2 and blocks == list(range(blocks[0], blocks[-1] + 1)):
+        sq = compute_sq_sums(raster, ladder, blocks[0] - 1, blocks[-1], constants)
     runs, hits = fields.runs, block_fields.hits
 
     decs, grid_rows, smallt_reports = [], [], []
@@ -237,17 +236,7 @@ def _cmd_harness(args: argparse.Namespace) -> int:
                 check_hypothesis=args.check_hypothesis,
             )
             decs.append(rep)
-            grid_rows.append({
-                "j": j, "rho": rho, "lhs": rep.lhs,
-                "term1": rep.term1, "term2": rep.term2, "term3": rep.term3,
-                "term4": rep.term4, "tail": rep.tail,
-                "triangle_ok": rep.triangle_ok, "triangle_slack": rep.triangle_slack,
-                "smallt_s": s_val, "smallt_s_over_rho": s_ratio,
-            })
-
-    sq = None
-    if square_sums:
-        sq = compute_sq_sums(raster, ladder, blocks[0] - 1, blocks[-1], constants)
+            grid_rows.append({**asdict(rep), "smallt_s": s_val, "smallt_s_over_rho": s_ratio})
 
     level = round(np.log2(grid.n)) - 1
     rng = np.random.default_rng(cfg.seed)

@@ -134,28 +134,21 @@ def compute_j0(tau: float, params: CurveParams) -> int:
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     d = support_radius(params)
-    if tau > d:
-        return 0
-    k = max(1, math.ceil(0.5 * math.log2(d / tau)))
+    k = 0
     while 2.0 ** (-2 * k) * d >= tau:
         k += 1
-    while k > 1 and 2.0 ** (-2 * (k - 1)) * d < tau:
-        k -= 1
     return k
 
 
 def _block_scales(grid, ladder: ScaleLadder, j: int, rho: float):
     b, c = ladder.block(j)
-    s_lo = rho * c
-    s_hi = b / rho
-    k_j = round(-math.log2(s_lo))
-    d_j = round(-math.log2(c))
+    s_lo, s_hi = rho * c, b / rho
     if s_lo < grid.h:
         n_min = 2 ** math.ceil(math.log2(grid.side / s_lo))
         raise ResolutionError(
             f"smoothing scale rho*c_j = {s_lo:g} is below cell size {grid.h:g}", n_min
         )
-    return b, c, s_lo, s_hi, k_j, d_j
+    return b, c, s_lo, s_hi, round(-math.log2(s_lo)), 2 * j  # k_j; d_j = -log2(c_j)
 
 
 @dataclass(frozen=True)

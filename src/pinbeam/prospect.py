@@ -94,45 +94,31 @@ def dyadic_round_down(x: float) -> float:
 
 @dataclass(frozen=True)
 class ScaleLadder:
-    """Interleaved dyadic scale pairs 1 > b_1 > c_1 > ... > b_J > c_J > 0."""
+    """The dyadic scale blocks b_j = 2^(-2j+1) > c_j = 2^(-2j), j = 1..depth."""
 
-    entries: tuple[tuple[float, float], ...]
+    depth: int
 
     def __post_init__(self):
-        entries = tuple((float(b), float(c)) for b, c in self.entries)
-        if not entries:
-            raise ValueError("ladder must have at least one block")
-        seq = [1.0]
-        for b, c in entries:
-            seq.extend((b, c))
-        for hi, lo in zip(seq, seq[1:]):
-            if not lo < hi:
-                raise ValueError(f"ladder not strictly interleaved: {lo} >= {hi}")
-        if seq[-1] <= 0:
-            raise ValueError("ladder scales must be positive")
-        for b, c in entries:
-            if not (is_dyadic(b) and is_dyadic(c)):
-                raise ValueError(f"ladder scales must be dyadic, got ({b}, {c})")
-        object.__setattr__(self, "entries", entries)
+        if self.depth < 1:
+            raise ValueError(f"need depth >= 1, got {self.depth}")
+        if self.depth > 537:  # c_537 = 2^-1074 is the least positive float
+            raise ValueError(f"ladder depth {self.depth} is too deep: "
+                             "c_J = 2^(-2J) is 0 past J = 537")
 
     @property
-    def depth(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[tuple[float, float], ...]:
+        return tuple(self.block(j) for j in range(1, self.depth + 1))
 
     def block(self, j: int) -> tuple[float, float]:
         """(b_j, c_j) for 1-based block index j."""
         if not 1 <= j <= self.depth:
             raise ValueError(f"block index {j} outside 1..{self.depth}")
-        return self.entries[j - 1]
+        return 2.0 ** (-2 * j + 1), 2.0 ** (-2 * j)
 
 
 def default_ladder(depth: int) -> ScaleLadder:
-    """Consecutive dyadic scales b_j = 2^(-2j+1), c_j = 2^(-2j)."""
-    if depth < 1:
-        raise ValueError(f"need depth >= 1, got {depth}")
-    if depth > 537:  # c_537 = 2^-1074 is the least positive float
-        raise ValueError(f"ladder depth {depth} is too deep: c_J = 2^(-2J) is 0 past J = 537")
-    return ScaleLadder(tuple((2.0 ** (-2 * j + 1), 2.0 ** (-2 * j)) for j in range(1, depth + 1)))
+    """The ladder of blocks 1..depth."""
+    return ScaleLadder(depth)
 
 
 def j_bound(delta: float, cprime: float) -> int:
@@ -470,12 +456,14 @@ def verify_certificate(
     refinement: int = 1,
     sampling: SamplingConfig = SamplingConfig(),
 ) -> VerificationResult:
-    """Re-check a certificate against the raster.
+    """Re-check a certificate against the raster, exactly.
 
-    Every claimed hit is re-tested by direct cell lookup; the scale interval
-    is re-scanned on a grid `refinement` times finer; the coefficient
-    interval is re-derived from the scale interval and must match exactly.
-    Any discrepancy is reported with the offending sample or scale.
+    Each sample is derived again: its scale is the t_grid's, its coefficient
+    t^(1-beta), its offset and hit one node's arc sample from the point
+    (swapped for beta < 1 as ``prospect`` swaps), and its hit lies in the set.
+    The scale interval is re-scanned on a grid `refinement` times finer; the
+    gap, grid ratio and coefficient interval are derived again.  Each
+    discrepancy is reported with the offending sample or scale.
     """
     if not refinement >= 1:
         raise ValueError(f"need refinement >= 1, got {refinement}")
@@ -484,14 +472,39 @@ def verify_certificate(
     params = CurveParams(cert.beta, cert.eta, cert.theta)
     raster, cutoff = _working_system(a, params, sampling)
     px, py = cert.point[::-1] if params.requires_swap else cert.point
-
-    in_set = sample_values(a, cert.hit_x, cert.hit_y)
-    for idx in np.flatnonzero(~in_set).tolist():
-        hx, hy = cert.hit_x[idx], cert.hit_y[idx]
-        failures.append(f"sample {idx}: claimed hit ({hx:.17g}, {hy:.17g}) is not in the set")
-
     c, b = cert.t_interval
     ts_std = t_grid(c, b, raster.grid.h, support_radius(cutoff.params), sampling.min_per_octave)
+
+    # Every node's sample at each claimed scale, in the caller's system; a
+    # forged scale may overflow, which the scale check reports.
+    t = np.array(cert.t, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys = sample_points(cutoff, t, (px, py))
+        us = t[:, None] * (cutoff.node_powers if params.requires_swap else cutoff.nodes)
+    if params.requires_swap:
+        xs, ys = ys, xs
+    claimed = np.array([cert.u, cert.hit_x, cert.hit_y], dtype=np.float64).T[:, :, None]
+    is_sample = (np.stack([us, xs, ys], axis=1) == claimed).all(axis=1).any(axis=1)
+    in_set = sample_values(a, cert.hit_x, cert.hit_y).tolist()
+    columns = zip(ts_std.tolist(), cert.t, cert.a, cert.u, cert.hit_x, cert.hit_y)
+    for k, (want_t, tk, ak, uk, hx, hy) in enumerate(columns):
+        if tk != want_t:
+            failures.append(f"sample {k}: scale {tk!r} is not scale {k} of the t_grid on [c, b]")
+        elif ak != (want := param_from_scale(tk, cert.beta)):
+            failures.append(f"sample {k}: coefficient {ak!r} != derived {want!r}")
+        elif not in_set[k]:
+            failures.append(f"sample {k}: claimed hit ({hx:.17g}, {hy:.17g}) is not in the set")
+        elif not is_sample[k]:
+            failures.append(f"sample {k}: offset {uk!r} and hit ({hx:.17g}, {hy:.17g}) are not "
+                            f"one node's sample at scale {tk!r}")
+    if len(t) != len(ts_std):
+        failures.append(f"{len(t)} samples for the {len(ts_std)} scales of the t_grid on [c, b]")
+    if len(t) and cert.gap != (float(np.min(cert.u)), float(np.max(cert.u))):
+        failures.append(f"gap {cert.gap!r} is not (min u, max u)")
+    ratio = (b / c) ** (1.0 / (len(ts_std) - 1)) if len(ts_std) > 1 else 1.0
+    if cert.t_grid_ratio != ratio:
+        failures.append(f"t_grid_ratio {cert.t_grid_ratio!r} != derived {ratio!r}")
+
     n_fine = (len(ts_std) - 1) * int(refinement) + 1
     ts_fine = np.geomspace(c, b, n_fine) if n_fine > 1 else np.array([c])
     ok_t = sample_values(raster, *sample_points(cutoff, ts_fine, (px, py))).any(axis=1)

@@ -4,7 +4,8 @@ Every JSON file is written compact, on one line (``write_json``).  Reals in
 certificate and exhaustion files are decimal strings with 17 significant
 digits, which round-trips IEEE doubles bit-for-bit.  An exhaustion file
 (schema 2) holds the columns of ``ExhaustionReport`` as they stand: point
-k is (``x[k]``, ``y[k]``) and ``t[j-1][k]`` its violating scale in block j.
+k is (``x[k]``, ``y[k]``) and ``t[j-1][k]`` its violating scale in block j;
+its ladder must be the dyadic ladder ``ScaleLadder`` of its depth.
 Run reports carry a config echo, timings, the tool version, and input
 digests so an outcome can be reproduced from the report alone.
 """
@@ -124,7 +125,9 @@ def exhaustion_from_dict(d: dict) -> ExhaustionReport:
             f"exhaustion JSON has schema {schema!r}; only schema {EXHAUSTION_SCHEMA} is read"
         )
     try:
-        ladder = ScaleLadder(tuple((float(b), float(c)) for b, c in d["ladder"]))
+        ladder = ScaleLadder(len(d["ladder"]))
+        if [tuple(map(float, pair)) for pair in d["ladder"]] != list(ladder.entries):
+            raise ValueError(f"ladder is not the dyadic ladder of depth {ladder.depth}")
         x, y, *t = (tuple(map(float, col)) for col in (d["x"], d["y"], *d["t"]))
         return ExhaustionReport(ladder, x, y, tuple(t), int(d["scanned"]))
     except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -221,6 +221,19 @@ class TestReportsRoundTrip:
         with pytest.raises(ValueError, match="does not match schema 2"):
             exhaustion_from_dict(d)
 
+    @pytest.mark.parametrize("ladder", [
+        [["0.25", "0.125"], ["0.0625", "0.03125"]],
+        [["0.5", "0.25"], ["0.03125", "0.015625"]],
+        [],
+    ], ids=["shifted", "gap", "empty"])
+    def test_exhaustion_file_with_another_ladder_refused(self, ladder):
+        # interleaved dyadic ladders that are not 2^(-2j+1) > 2^(-2j), j = 1..J
+        rep = ExhaustionReport(default_ladder(2), (0.5,), (0.5,), ((0.375,), (0.1,)), 1)
+        d = exhaustion_to_dict(rep)
+        d["ladder"] = ladder
+        with pytest.raises(ValueError, match="does not match schema 2: (ladder|need depth)"):
+            exhaustion_from_dict(d)
+
     def test_points_view_is_the_nested_form(self):
         # sha256 of repr(points) for this report, as the scan built it when
         # the report stored nested per-point tuples
@@ -736,8 +749,10 @@ class TestHarnessCmd:
         assert capsys.readouterr().err == "error: config key 'tau' must be finite, got inf\n"
         assert not outdir.exists()
 
-    def test_overflowing_bound_is_an_error_not_a_json_token(self, tmp_path, capsys):
-        # the bound integral - 4 tau overflows to -inf at tau = 1e308
+    def test_overflowing_bound_is_an_error_not_a_json_token(self, tmp_path, capsys,
+                                                             engine_runs):
+        # the bound integral - 4 tau overflows to -inf at tau = 1e308: refused
+        # before any field, so no outdir is made
         raster = tmp_path / "a.pb"
         save_raster(generate_random(GridSpec(64), 0.4, 3), raster)
         outdir = tmp_path / "out"
@@ -745,8 +760,41 @@ class TestHarnessCmd:
                    "--nodes", "32", "--tau", "1e308", "--c0", "1", "--outdir", str(outdir)])
         assert rc == EXIT_ERROR
         err = capsys.readouterr().err
-        assert err.endswith("error: Out of range float values are not JSON compliant\n")
-        assert list(outdir.iterdir()) == []
+        assert err == "error: the bound integral(f) - 4 tau is -inf at tau = 1e+308\n"
+        assert engine_runs == []
+        assert not outdir.exists()
+
+    def test_tiny_tau_is_one_error_line(self, tmp_path, capsys, engine_runs):
+        # J0 is about 512 at tau = 1e-308, so no block up to 8 is admissible
+        raster = tmp_path / "a.pb"
+        save_raster(generate_random(GridSpec(64), 0.4, 3), raster)
+        outdir = tmp_path / "out"
+        rc = main(["harness", "--input", str(raster), "--tau", "1e-308",
+                   "--outdir", str(outdir)])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: no admissible blocks: raise the resolution, lower rho, or raise tau\n"
+        )
+        assert engine_runs == []
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("blocks", [["2"], ["2", "3"], ["4", "3"]])
+    def test_blocks_at_or_below_j0_fail_before_any_field(self, tmp_path, capsys, engine_runs,
+                                                         blocks):
+        # J0 = 3 at tau = 0.1 (2^-6 D < 0.1 <= 2^-4 D, D = 6.24)
+        raster = tmp_path / "a.pb"
+        save_raster(generate_random(GridSpec(64), 0.4, 3), raster)
+        outdir = tmp_path / "out"
+        rc = main(["harness", "--input", str(raster), "--blocks", *blocks, "--rho", "0.25",
+                   "--rhos", "0.25", "0.125", "--tau", "0.1", "--nodes", "32",
+                   "--outdir", str(outdir)])
+        assert rc == EXIT_ERROR
+        first = min(map(int, blocks))
+        assert capsys.readouterr().err == (
+            f"error: block index {first} must exceed J0 = 3 for tau = 0.1\n"
+        )
+        assert engine_runs == []
+        assert not outdir.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         raster = tmp_path / "a.pb"

@@ -110,6 +110,13 @@ class TestComputeJ0:
         assert compute_j0(d, P24) == 1
         assert compute_j0(math.nextafter(d, 0.0), P24) == 1
 
+    @pytest.mark.parametrize("tau", [1e-308, 5e-324])
+    def test_tiny_tau_follows_the_definition(self, tau):
+        # D / tau overflows a float here; J0 comes from its defining loop
+        d = support_radius(P24)
+        j0 = compute_j0(tau, P24)
+        assert 2.0 ** (-2 * j0) * d < tau <= 2.0 ** (-2 * (j0 - 1)) * d
+
     def test_reference_value(self):
         # D = sqrt(5.76 + 33.1776) = 6.24, tau = 0.1: ceil(log2(62.4)/2) = 3
         assert compute_j0(0.1, P24) == 3

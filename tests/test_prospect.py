@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -69,13 +70,11 @@ class TestLadder:
             b, c = default_ladder(j).block(j)
             assert (param_from_scale(b, 2.0), param_from_scale(c, 2.0)) == want
 
-    def test_rejects_non_interleaved(self):
-        with pytest.raises(ValueError, match="interleaved"):
-            ScaleLadder(((0.25, 0.5),))
-
-    def test_rejects_non_dyadic(self):
-        with pytest.raises(ValueError, match="dyadic"):
-            ScaleLadder(((0.5, 0.3),))
+    def test_the_ladder_is_its_depth(self):
+        assert ScaleLadder(3) == default_ladder(3) != default_ladder(2)
+        assert default_ladder(3).entries == tuple(default_ladder(3).block(j) for j in (1, 2, 3))
+        with pytest.raises(ValueError, match="need depth >= 1, got 0"):
+            ScaleLadder(0)
 
     def test_deepest_ladder_ends_at_the_least_subnormal(self):
         assert default_ladder(537).block(537) == (2.0**-1073, 2.0**-1074)
@@ -234,8 +233,10 @@ class TestProspect:
             warnings.simplefilter("error")
             res = verify_certificate(holed, tampered, 1, SamplingConfig(nodes=64))
         assert res.failures[1] == "sample 5: claimed hit (nan, 0.5) is not in the set"
+        # every scale of the grid needs its witness
         no_samples = dataclasses.replace(cert, t=(), a=(), u=(), hit_x=(), hit_y=())
-        assert verify_certificate(holed, no_samples, 1, SamplingConfig(nodes=64)).ok
+        res = verify_certificate(holed, no_samples, 1, SamplingConfig(nodes=64))
+        assert res.failures == ("0 samples for the 279 scales of the t_grid on [c, b]",)
 
     def test_interval_mismatch_rejected(self):
         a = full_square(64)
@@ -246,6 +247,73 @@ class TestProspect:
         res = verify_certificate(a, tampered, 1, SamplingConfig(nodes=64))
         assert not res.ok
         assert any("interval" in f for f in res.failures)
+
+
+class TestVerifyWitnesses:
+    """verify derives every witness column again; a forged column fails."""
+
+    SAMPLING = SamplingConfig(nodes=64)
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        a = generate_random(GridSpec(256), 0.4, 7)
+        cert = prospect(a, default_ladder(3), P24, self.SAMPLING)
+        assert isinstance(cert, BeamCertificate) and len(cert.t) == 1109
+        assert verify_certificate(a, cert, 4, self.SAMPLING).ok
+        return a, cert
+
+    def test_forged_witnesses_refused(self, setup):
+        a, cert = setup
+        iy, ix = np.argwhere(a.bitmap)[0]
+        h, k = a.grid.h, len(cert.t)
+        forged = dataclasses.replace(
+            cert, u=(123.0,) * k, a=(-1.0,) * k, hit_x=((ix + 0.5) * h,) * k,
+            hit_y=((iy + 0.5) * h,) * k, gap=(5.0, -5.0), t_grid_ratio=99.0,
+        )
+        res = verify_certificate(a, forged, 4, self.SAMPLING)
+        assert not res.ok
+        assert [f.split(":")[0] for f in res.failures[:k]] == [f"sample {i}" for i in range(k)]
+        assert res.failures[k:] == (
+            "gap (5.0, -5.0) is not (min u, max u)",
+            "t_grid_ratio 99.0 != derived 1.0006257798165208",
+        )
+
+    @pytest.mark.parametrize("column, message", [
+        ("t", "sample 554: scale 0.35355339059327384 is not scale 554 of the t_grid on [c, b]"),
+        ("a", "sample 554: coefficient 2.8284271247461903 != derived 2.82842712474619"),
+        ("u", "sample 554: offset 0.3574203808028878 and hit"),
+        ("hit_x", "sample 554: offset 0.35742038080288774 and hit (0.36327975580288779,"),
+        ("hit_y", "sample 554: offset 0.35742038080288774 and hit (0.36327975580288774, "
+                  "0.3632827912179194)"),
+        ("gap", "gap (0.252734375, 0.581303486383231) is not (min u, max u)"),
+        ("t_grid_ratio", "t_grid_ratio 1.000625779816521 != derived 1.0006257798165208"),
+    ], ids=["t", "a", "u", "hit_x", "hit_y", "gap", "t_grid_ratio"])
+    def test_one_ulp_in_any_column_is_named(self, setup, column, message):
+        # each forgery keeps every hit in the set, so only the new checks see it
+        a, cert = setup
+        value = getattr(cert, column)
+        if column in ("t", "a", "u", "hit_x", "hit_y"):
+            value = list(value)
+            value[554] = math.nextafter(value[554], math.inf)
+            value = tuple(value)
+        elif column == "gap":
+            value = (value[0], math.nextafter(value[1], math.inf))
+        else:
+            value = math.nextafter(value, math.inf)
+        res = verify_certificate(a, dataclasses.replace(cert, **{column: value}), 4,
+                                 self.SAMPLING)
+        assert len(res.failures) == 1 and res.failures[0].startswith(message)
+
+    def test_swapped_witness_is_checked_in_the_callers_system(self):
+        a = generate_random(GridSpec(128), 0.5, 8)
+        params = CurveParams(0.5, 1.0, 2.4)
+        cert = prospect(a, default_ladder(2), params, self.SAMPLING)
+        assert cert.beta == 0.5 and verify_certificate(a, cert, 2, self.SAMPLING).ok
+        # the working system's offset t u_i in place of the caller's t u_i^(1/beta)
+        u = list(cert.u)
+        u[3] = cert.hit_y[3] - cert.point[1]
+        res = verify_certificate(a, dataclasses.replace(cert, u=tuple(u)), 2, self.SAMPLING)
+        assert len(res.failures) == 1 and res.failures[0].startswith("sample 3: offset")
 
 
 def oracle_scan(a, ladder, params, nodes):
