@@ -24,6 +24,7 @@ import numpy as np
 from . import constructions, fields, smoothing
 from .harness import (
     HarnessConstants,
+    _block_scales,
     block_fields,
     check_smallt_scaling,
     compute_decomposition,
@@ -35,6 +36,7 @@ from .kernel import CurveParams, Cutoff, build_cutoff, curve_average, validate_p
 from .prospect import (
     BeamCertificate,
     SamplingConfig,
+    check_arc_resolution,
     default_ladder,
     find_dense_window,
     j_bound,
@@ -218,19 +220,27 @@ def _cmd_harness(args: argparse.Namespace) -> int:
         raise ValueError(
             f"block index {min(blocks)} must exceed J0 = {j0} for tau = {constants.tau:g}"
         )
-    rhos = args.rhos or [constants.rho]
+    # Before any work: every --rhos value is a power of two, and each block's
+    # arcs and smoothing scale rho * c_j span a cell, at the square sums' rho
+    # (consecutive blocks only) and at each --rhos value.
+    cvars = [replace(constants, rho=rho) for rho in args.rhos or [constants.rho]]
+    with_sq = len(blocks) >= 2 and blocks == list(range(blocks[0], blocks[-1] + 1))
     ladder = default_ladder(max(blocks))
+    for j in blocks:
+        check_arc_resolution(grid, params.theta, ladder.block(j)[0], f"block {j}")
+        for rho in [constants.rho] * with_sq + [cvar.rho for cvar in cvars]:
+            _block_scales(grid, ladder, j, rho)
     sq = None
-    if len(blocks) >= 2 and blocks == list(range(blocks[0], blocks[-1] + 1)):
+    if with_sq:
         sq = compute_sq_sums(raster, ladder, blocks[0] - 1, blocks[-1], constants)
     runs, hits = fields.runs, block_fields.hits
 
     decs, grid_rows, smallt_reports = [], [], []
     for j in blocks:
-        smallt = check_smallt_scaling(raster, j, ladder, rhos, cutoff, cfg.t_per_octave)
+        smallt = check_smallt_scaling(raster, j, ladder, [cvar.rho for cvar in cvars], cutoff,
+                                      cfg.t_per_octave)
         smallt_reports.append(smallt)
-        for rho, s_val, s_ratio in smallt.rows:
-            cvar = replace(constants, rho=rho)
+        for cvar, (_, s_val, s_ratio) in zip(cvars, smallt.rows):
             rep = compute_decomposition(
                 raster, j, ladder, cutoff, cvar, cfg.t_per_octave,
                 check_hypothesis=args.check_hypothesis,
@@ -312,6 +322,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         timed("exhaustion report",
               lambda: write_json(Path(tmp) / "exhaustion.json", exhaustion_to_dict(outcome)))
+    # The same scan where it meets tie samples: at theta = 1.04 and 64 nodes,
+    # one block-1 scale holds 3, which take point lookups over all 6,144 cells.
+    tie_params = CurveParams(2.0, 1.0, 1.04)
+    tie_strips = constructions.dead_strip_set(128, tie_params, default_ladder(2), 2)
+    timed("prospect exhaustion tie scale", prospect, tie_strips, default_ladder(2), tie_params,
+          replace(_sampling(cfg), nodes=64))
 
     # The reduce flow's square sums: depth 3, rho = 1/4, every s_hi radius
     # capped at n - 1; its kernel spectra are built here, not cached.
@@ -326,8 +342,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     timed("dense window N=2048", find_dense_window, big, 1.0, (1.0, 0.5))
 
     for name, dt in rows:
-        print(f"{name:24s} {dt * 1000:10.1f} ms")
-    print(f"{'cold start VmHWM':24s} {cold_start_kb / 1024:10.1f} MB")
+        print(f"{name:30s} {dt * 1000:10.1f} ms")
+    print(f"{'cold start VmHWM':30s} {cold_start_kb / 1024:10.1f} MB")
     return EXIT_OK
 
 

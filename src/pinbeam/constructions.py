@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .kernel import Cutoff, CurveParams, sample_points
+from .kernel import Cutoff, CurveParams
 from .prospect import _GATHER_ELEMS, ScaleLadder, _block, _padded
 from .raster import GridSpec, RasterSet, cells_of_points
 
@@ -72,9 +72,10 @@ def carve_block_arcs(
 
     The carve is the ladder scan's gather run as a scatter: it clears the
     scan's own block-j cell offsets (``prospect._block``) from every region
-    cell, and the samples of the block's tie scales through
-    ``cells_of_points``, as the scan looks them up.  So the carved set is
-    exactly the one on which those points fail block j, by construction.
+    cell, those of the non-tie nodes at tie scales among them, and only the
+    block's tie samples through ``cells_of_points``, as the scan looks them
+    up.  So the carved set is exactly the one on which those points fail
+    block j, by construction.
     """
     grid = a.grid
     n, h = grid.n, grid.h
@@ -88,12 +89,11 @@ def carve_block_arcs(
         padded[blk.distinct[:, None] + flat[lo : lo + step]] = False
     bitmap = padded.reshape(width, width)[:n, :n]
     x0, y0 = grid.origin
-    xc, yc = x0 + (ix[:, None] + 0.5) * h, y0 + (iy[:, None] + 0.5) * h
-    ts = blk.ts[blk.ties]
-    step = max(1, _GATHER_ELEMS // max(1, ts.size * cutoff.node_count))
+    xc, yc = x0 + (ix + 0.5) * h, y0 + (iy + 0.5) * h
+    step = max(1, _GATHER_ELEMS // max(1, blk.ties.size))
     for lo in range(0, len(flat), step):
-        xs, ys = sample_points(cutoff, ts, (xc[lo : lo + step], yc[lo : lo + step]))
-        jx, jy, inside = cells_of_points(grid, xs, ys)
+        jx, jy, inside = cells_of_points(grid, *blk.tie_points(xc[lo : lo + step],
+                                                                yc[lo : lo + step]))
         bitmap[jy[inside], jx[inside]] = False
     return RasterSet(grid, bitmap)
 

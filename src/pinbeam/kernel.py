@@ -251,17 +251,22 @@ def cell_shifts(cutoff: Cutoff, ts: np.ndarray, grid: GridSpec):
     From the centre of cell (ix, iy), the sample at offset (t u, t u^beta)
     lies in cell (ix + sx, iy + sy), (sx, sy) = floor(1/2 + (t / h) (u, u^beta)),
     and inside the window iff ix + sx < n and iy + sy < n, as
-    ``raster.cells_of_points`` reads it, except on a tie scale: one with some
-    1/2 + (t / h) u or 1/2 + (t / h) u^beta within rounding distance of an
-    integer (a sample on or next to a cell edge, the window's far edge among
-    them).  The ladder scan, the block-hypothesis check and the arc carving
-    look tie scales up by point; the field engine, which serves only float
+    ``raster.cells_of_points`` reads it, except at a tie sample: one whose
+    1/2 + (t / h) u or 1/2 + (t / h) u^beta lies within rounding distance of
+    an integer (a sample on or next to a cell edge, the window's far edge
+    among them).  The ladder scan, the block-hypothesis check and the arc
+    carving look tie samples up by point and read every other sample by its
+    shift, at the same scale too; the field engine, which serves only float
     fields, takes the shifts as they are, so it reads a far-edge sample as 0.
 
     Shifts are nonnegative (t, u > 0), and a scale's equal shifts are runs of
     adjacent nodes (nodes and their powers ascend).  Returns int64 ``sx``,
     ``sy`` of shape (scales, nodes), bool ``starts`` of that shape marking
-    each run's first node, and bool ``ties`` marking the tie scales.
+    each run's first node, and bool ``ties`` of that shape marking the tie
+    samples.  A run may hold tie and non-tie nodes alike; its first non-tie
+    node starts it or follows a tie, so a reader that skips the ties keeps a
+    shift of every run with a non-tie node by ``(starts | tie of the previous
+    node) & ~ties``, with no sort.
     """
     h = grid.h
     ts = np.asarray(ts, dtype=np.float64)
@@ -272,13 +277,13 @@ def cell_shifts(cutoff: Cutoff, ts: np.ndarray, grid: GridSpec):
     x0, y0 = grid.origin
     reach = ts.max(initial=0.0) * max(cutoff.nodes.max(), cutoff.node_powers.max())
     margin = 8.0 * np.finfo(np.float64).eps * (abs(x0) + abs(y0) + grid.side + reach) / h
-    ties = np.zeros(len(ts), dtype=bool)
+    ties = np.zeros((len(ts), cutoff.node_count), dtype=bool)
     shifts = []
     for f in (0.5 + tk * cutoff.nodes, 0.5 + tk * cutoff.node_powers):
         s = np.floor(f)
         f -= s
         f -= 0.5
-        ties |= (np.abs(f, out=f) >= 0.5 - margin).any(axis=1)
+        ties |= np.abs(f, out=f) >= 0.5 - margin
         shifts.append(s.astype(np.int64))
     sx, sy = shifts
     starts = np.ones(sx.shape, dtype=bool)

@@ -10,8 +10,11 @@ certificate is expressed back in the caller's system.
 
 The scan reads arc samples as integer offsets into a zero-padded bitmap,
 one gather per batch of cells, by the sampling rule of
-``kernel.cell_shifts``; the tie scales that rule flags are looked up
-through ``raster.sample_values`` instead.  The scan's outcome is therefore
+``kernel.cell_shifts``; the tie samples that rule flags, one (scale, node)
+at a time, are looked up through ``raster.sample_values`` instead, and the
+other nodes of their scales keep their offsets.  A run of equal offsets
+keeps the node that starts it or follows a tie, when that node is no tie
+itself, so the keep rule needs no sort.  The scan's outcome is therefore
 the one that per-point lookups give, bit for bit.  Without a certificate,
 the scan's centres and violating scales fill the exhaustion file's columns
 directly (``ExhaustionReport``).  The same scan answers the decomposition's block
@@ -243,11 +246,13 @@ _GATHER_ELEMS = 2**18
 class _Block:
     """One ladder block's scale samples and their integer cell offsets.
 
-    ``ties`` lists the scales that take the float lookup.  ``distinct``
-    holds the other scales' distinct in-range offsets sy * width + sx into
-    the padded bitmap.  ``rows`` lists, scale by scale, the distinct offsets
-    each scale reads, and ``starts`` indexes the first entry of each scale
-    in ``filled`` (scales with no such offset, the ties among them, read 0).
+    ``distinct`` holds the distinct in-range offsets sy * width + sx into
+    the padded bitmap of every sample but the tie samples.  ``rows`` lists,
+    scale by scale, the distinct offsets each scale reads, and ``starts``
+    indexes the first entry of each scale in ``filled`` (scales with no such
+    offset read 0).  The tie samples take the float lookup: ``ties`` holds
+    the scale index of each, ascending, and ``tie_dx``, ``tie_dy`` its
+    offset (t u, t u^beta) from the pinned point.
     """
 
     ts: np.ndarray
@@ -256,6 +261,13 @@ class _Block:
     starts: np.ndarray
     filled: np.ndarray
     ties: np.ndarray
+    tie_dx: np.ndarray
+    tie_dy: np.ndarray
+
+    def tie_points(self, xc: np.ndarray, yc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The tie samples pinned at each centre, (tie samples, cells), with
+        the bits of ``kernel.sample_points``: x + t u, one product and one sum."""
+        return xc + self.tie_dx[:, None], yc + self.tie_dy[:, None]
 
 
 def _block(
@@ -264,20 +276,26 @@ def _block(
     b, c = ladder.block(j)
     ts = t_grid(c, b, grid.h, support_radius(cutoff.params), min_per_octave)
     sx, sy, starts, ties = cell_shifts(cutoff, ts, grid)
-    # One entry per run of equal offsets, in range and off the tie scales.
-    keep = starts & (sx < grid.n) & (sy < grid.n) & ~ties[:, None]
+    # An entry for every run of equal offsets that has an in-range non-tie
+    # node: its first such node starts the run or follows a tie, so no sort.
+    after_tie = np.zeros_like(ties)
+    after_tie[:, 1:] = ties[:, :-1]
+    keep = (starts | after_tie) & ~ties & (sx < grid.n) & (sy < grid.n)
     counts = keep.sum(axis=1)
     filled = counts > 0
     # Neighbouring scales move arcs by at most half a cell, so they share most
     # offsets: gathering each distinct offset once saves most of the reads.
     distinct, rows = np.unique((sy * width + sx)[keep], return_inverse=True)
+    k, i = np.nonzero(ties)
     return _Block(
         ts=ts,
         distinct=distinct,
         rows=rows,
         starts=(np.cumsum(counts) - counts)[filled],
         filled=filled,
-        ties=np.flatnonzero(ties),
+        ties=k,
+        tie_dx=ts[k] * cutoff.nodes[i],
+        tie_dy=ts[k] * cutoff.node_powers[i],
     )
 
 
@@ -308,12 +326,13 @@ def _batches(cells: np.ndarray, grid: GridSpec, width: int):
 
 
 def _first_misses(
-    blk: _Block, cutoff: Cutoff, padded: np.ndarray, flat: np.ndarray, xc, yc, raster: RasterSet
+    blk: _Block, padded: np.ndarray, flat: np.ndarray, xc, yc, raster: RasterSet
 ) -> np.ndarray:
     """Per cell, the index of the first scale without a witness (len(ts) if none)."""
     n_scales = len(blk.ts)
     out = np.empty(len(flat), dtype=np.intp)
-    step = max(1, _GATHER_ELEMS // max(1, blk.distinct.size))
+    step = max(1, _GATHER_ELEMS // max(1, blk.distinct.size + blk.ties.size))
+    tie_starts = np.flatnonzero(np.diff(blk.ties, prepend=-1))  # each tie scale's first
     for lo in range(0, len(flat), step):
         hi = min(lo + step, len(flat))
         hit = np.zeros((n_scales, hi - lo), dtype=bool)
@@ -323,9 +342,9 @@ def _first_misses(
             bits = np.packbits(padded[blk.distinct[:, None] + flat[lo:hi]], axis=1)
             anyhit = np.bitwise_or.reduceat(bits[blk.rows], blk.starts, axis=0)
             hit[blk.filled] = np.unpackbits(anyhit, axis=1, count=hi - lo).view(bool)
-        for k in blk.ties:
-            xs, ys = sample_points(cutoff, blk.ts[k], (xc[lo:hi], yc[lo:hi]))
-            hit[k] = sample_values(raster, xs, ys).any(axis=1)
+        if blk.ties.size:
+            looked = sample_values(raster, *blk.tie_points(xc[lo:hi], yc[lo:hi]))
+            hit[blk.ties[tie_starts]] |= np.logical_or.reduceat(looked, tie_starts, axis=0)
         out[lo:hi] = np.where(hit.all(axis=0), n_scales, hit.argmin(axis=0))
     return out
 
@@ -404,7 +423,7 @@ def prospect(
             if j not in blocks:
                 blocks[j] = _block(grid, cutoff, ladder, j, sampling.min_per_octave, width)
             blk = blocks[j]
-            miss = _first_misses(blk, cutoff, padded, flat[:limit], xc[:limit], yc[:limit], raster)
+            miss = _first_misses(blk, padded, flat[:limit], xc[:limit], yc[:limit], raster)
             passed = miss == len(blk.ts)
             if passed.any():
                 limit, cert_j = int(passed.argmax()), j
@@ -434,7 +453,7 @@ def block_hypothesis_holds(
     padded, width = _padded(a, ladder.block(j)[0], cutoff)
     blk = _block(a.grid, cutoff, ladder, j, min_per_octave, width)
     return all(
-        (_first_misses(blk, cutoff, padded, flat, xc, yc, a) < len(blk.ts)).all()
+        (_first_misses(blk, padded, flat, xc, yc, a) < len(blk.ts)).all()
         for flat, xc, yc in _batches(np.flatnonzero(a.bitmap), a.grid, width)
     )
 
@@ -477,29 +496,39 @@ def verify_certificate(
 
     # Every node's sample at each claimed scale, in the caller's system; a
     # forged scale may overflow, which the scale check reports.
-    t = np.array(cert.t, dtype=np.float64)
+    t, a_col, u, hx, hy = np.array([cert.t, cert.a, cert.u, cert.hit_x, cert.hit_y],
+                                   dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         xs, ys = sample_points(cutoff, t, (px, py))
         us = t[:, None] * (cutoff.node_powers if params.requires_swap else cutoff.nodes)
     if params.requires_swap:
         xs, ys = ys, xs
-    claimed = np.array([cert.u, cert.hit_x, cert.hit_y], dtype=np.float64).T[:, :, None]
+    claimed = np.stack([u, hx, hy], axis=1)[:, :, None]
     is_sample = (np.stack([us, xs, ys], axis=1) == claimed).all(axis=1).any(axis=1)
-    in_set = sample_values(a, cert.hit_x, cert.hit_y).tolist()
-    columns = zip(ts_std.tolist(), cert.t, cert.a, cert.u, cert.hit_x, cert.hit_y)
-    for k, (want_t, tk, ak, uk, hx, hy) in enumerate(columns):
-        if tk != want_t:
+    m = min(len(t), len(ts_std))
+    # Python's power, not np.power, whose SIMD loop rounds differently.
+    want_a = [param_from_scale(s, cert.beta) for s in ts_std[:m].tolist()]
+    checks = (
+        t[:m] == ts_std[:m],
+        a_col[:m] == want_a,
+        sample_values(a, hx[:m], hy[:m]),
+        is_sample[:m],
+    )
+    # Each failing sample is named by its first failing check.
+    for k in np.flatnonzero(~np.logical_and.reduce(checks)).tolist():
+        tk, uk, hit = cert.t[k], cert.u[k], f"({cert.hit_x[k]:.17g}, {cert.hit_y[k]:.17g})"
+        if not checks[0][k]:
             failures.append(f"sample {k}: scale {tk!r} is not scale {k} of the t_grid on [c, b]")
-        elif ak != (want := param_from_scale(tk, cert.beta)):
-            failures.append(f"sample {k}: coefficient {ak!r} != derived {want!r}")
-        elif not in_set[k]:
-            failures.append(f"sample {k}: claimed hit ({hx:.17g}, {hy:.17g}) is not in the set")
-        elif not is_sample[k]:
-            failures.append(f"sample {k}: offset {uk!r} and hit ({hx:.17g}, {hy:.17g}) are not "
+        elif not checks[1][k]:
+            failures.append(f"sample {k}: coefficient {cert.a[k]!r} != derived {want_a[k]!r}")
+        elif not checks[2][k]:
+            failures.append(f"sample {k}: claimed hit {hit} is not in the set")
+        else:
+            failures.append(f"sample {k}: offset {uk!r} and hit {hit} are not "
                             f"one node's sample at scale {tk!r}")
     if len(t) != len(ts_std):
         failures.append(f"{len(t)} samples for the {len(ts_std)} scales of the t_grid on [c, b]")
-    if len(t) and cert.gap != (float(np.min(cert.u)), float(np.max(cert.u))):
+    if len(t) and cert.gap != (float(u.min()), float(u.max())):
         failures.append(f"gap {cert.gap!r} is not (min u, max u)")
     ratio = (b / c) ** (1.0 / (len(ts_std) - 1)) if len(ts_std) > 1 else 1.0
     if cert.t_grid_ratio != ratio:

@@ -20,7 +20,7 @@ from pinbeam import (
 from pinbeam import reports
 from pinbeam.cli import EXIT_ERROR, EXIT_EXHAUSTION, EXIT_OK, EXIT_VERIFY_FAIL, main
 from pinbeam.constructions import dead_strip_set
-from pinbeam.harness import HarnessConstants, compute_sq_sums
+from pinbeam.harness import HarnessConstants, block_fields, compute_sq_sums
 from pinbeam.prospect import ExhaustionReport, ResolutionError
 from pinbeam.raster import axis_swap, load_raster, save_raster
 from pinbeam.reports import (
@@ -796,6 +796,28 @@ class TestHarnessCmd:
         assert engine_runs == []
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--blocks", "2", "--rhos", "0.125"],
+         "smoothing scale rho*c_j = 0.0078125 is below cell size 0.015625; "
+         "minimal admissible resolution N = 128"),
+        (["--blocks", "2", "5", "--rhos", "0.25"],
+         "block 5 arcs are below cell size 0.015625; minimal admissible resolution N = 256"),
+        (["--blocks", "2", "--rhos", "0.25", "0.3"], "rho must be a power of two, got 0.3"),
+    ], ids=["rho-c_j", "arcs", "rho-not-dyadic"])
+    def test_block_rules_fail_before_any_field(self, tmp_path, capsys, engine_runs, flags,
+                                               message):
+        # each of these once failed only after the fields of an earlier rho or block ran
+        raster = tmp_path / "a.pb"
+        save_raster(generate_random(GridSpec(64), 0.4, 3), raster)
+        outdir = tmp_path / "out"
+        block_fields.clear()  # a field kept from another test would run no engine
+        rc = main(["harness", "--input", str(raster), "--tau", "1.7", "--nodes", "32",
+                   "--outdir", str(outdir), *flags])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert engine_runs == []
+        assert not outdir.exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         raster = tmp_path / "a.pb"
         save_raster(generate_random(GridSpec(128), 0.4, 3), raster)
@@ -822,6 +844,7 @@ class TestBench:
         assert "carve block 2" in out
         assert "certificate JSON" in out
         assert "verify refinement 4" in out
+        assert "prospect exhaustion tie scale" in out
         cold = [line.split() for line in out.splitlines() if line.startswith("cold start")]
         assert [(row[-1], float(row[-2]) > 0) for row in cold] == [("ms", True), ("MB", True)]
 

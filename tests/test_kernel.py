@@ -334,23 +334,25 @@ def test_cell_shifts_agree_with_float_lookup_off_ties(x0, y0, side, n, params, n
     assert (starts[:, 1:] == ((sx[:, 1:] != sx[:, :-1]) | (sy[:, 1:] != sy[:, :-1]))).all()
     xc, yc = x0 + (ix + 0.5) * grid.h, y0 + (iy + 0.5) * grid.h
     jx, jy, inside = cells_of_points(grid, *sample_points(cutoff, ts, (xc, yc)))
+    # every non-tie sample, those at scales with a tie sample among them
+    assert ties.shape == sx.shape
     off = ~ties
     assert (((ix + sx < n) & (iy + sy < n)) == inside)[off].all()
-    ok = off[:, None] & inside
+    ok = off & inside
     assert (jx == ix + sx)[ok].all() and (jy == iy + sy)[ok].all()
 
 
 def test_cell_shifts_flags_every_scale_where_rounding_and_lookup_part():
     # Within 6 ulps of each breakpoint t = (m - 1/2) h / u, floor(1/2 + (t / h) u)
     # and the float lookup of the sample can name different cells (or sides
-    # of the far edge); each such scale must be a tie scale, even alone.
+    # of the far edge); the parting sample itself must be a tie, even alone.
     grid = GridSpec(64, (0.1, 0.3), 0.7)
     cutoff = build_cutoff(CurveParams(2.0, 1.0, 2.4), 8, 0.5)
     n, h = grid.n, grid.h
     centres = (np.arange(n) + 0.5) * h
     parted, triples = set(), 0
     for axis, offsets in ((0, cutoff.nodes), (1, cutoff.node_powers)):
-        for u in offsets.tolist():
+        for node, u in enumerate(offsets.tolist()):
             m = np.arange(1, math.floor(u / h + 0.5) + 1)  # scales up to 1
             bits = ((m - 0.5) * h / u).view(np.int64)[:, None] + np.arange(-6, 7)
             ts = bits.view(np.float64).ravel()
@@ -361,9 +363,9 @@ def test_cell_shifts_flags_every_scale_where_rounding_and_lookup_part():
             looked_up = ix if axis == 0 else iy
             bad = ((cell < n) != inside) | (inside & (looked_up != cell))
             triples += int(bad.sum())
-            parted.update(ts[bad.any(axis=1)].tolist())
-    assert triples == 69694 and len(parted) == 5822
-    assert all(cell_shifts(cutoff, np.array([t]), grid)[3][0] for t in parted)
+            parted.update((t, node) for t in ts[bad.any(axis=1)].tolist())
+    assert triples == 69694 and len({t for t, _ in parted}) == 5822
+    assert all(cell_shifts(cutoff, np.array([t]), grid)[3][0, node] for t, node in parted)
 
 
 class TestAxisSwapCurves:

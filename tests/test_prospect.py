@@ -33,7 +33,7 @@ from pinbeam import (
     verify_certificate,
 )
 from pinbeam.constructions import carve_block_arcs, checkerboard, dead_strip_set
-from pinbeam.kernel import sample_points, support_radius, t_grid
+from pinbeam.kernel import cell_shifts, sample_points, support_radius, t_grid
 from pinbeam.prospect import (
     DenseWindowResult,
     ResolutionError,
@@ -556,6 +556,72 @@ def test_edge_samples_follow_one_convention(window, n, ms, density, seed, last_c
         for pt, violations in got.points:
             for _, t in violations:
                 assert arc_hits_set(a, pt, t, cutoff).size == 0
+
+
+def tie_scales_by_old_rule(cutoff, ts, grid):
+    """The per-scale tie flag that preceded per-sample ties: some sample within the margin."""
+    h = grid.h
+    x0, y0 = grid.origin
+    reach = ts.max(initial=0.0) * max(cutoff.nodes.max(), cutoff.node_powers.max())
+    margin = 8.0 * np.finfo(np.float64).eps * (abs(x0) + abs(y0) + grid.side + reach) / h
+    flags = np.zeros(len(ts), dtype=bool)
+    for f in (0.5 + (ts / h)[:, None] * cutoff.nodes, 0.5 + (ts / h)[:, None] * cutoff.node_powers):
+        flags |= (np.abs(f - np.floor(f) - 0.5) >= 0.5 - margin).any(axis=1)
+    return flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(**EDGE_CASES, j=st.sampled_from([1, 2]), beta=st.sampled_from([2.0, 0.5]))
+@example(window=EDGE_WINDOWS[1], n=16, ms=[36, 40, 42, 64, 68], density=0.3, seed=46960,
+         last_column=56024, j=1, beta=2.0)
+def test_tie_samples_flag_the_old_tie_scales(window, n, ms, density, seed, last_column, j,
+                                             beta):
+    a, cutoff = _edge_case(window, n, ms, density, seed, last_column, CurveParams(beta, 1.0, 2.4))
+    b, c = default_ladder(2).block(j)
+    ts = t_grid(c, b, a.grid.h, support_radius(cutoff.params))
+    ties = cell_shifts(cutoff, ts, a.grid)[3]
+    assert ties.shape == (len(ts), cutoff.node_count)
+    assert np.array_equal(ties.any(axis=1), tie_scales_by_old_rule(cutoff, ts, a.grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**EDGE_CASES, j=st.sampled_from([1, 2]), beta=st.sampled_from([2.0, 0.5]))
+def test_block_reads_each_non_tie_sample_by_offset(window, n, ms, density, seed, last_column, j,
+                                                   beta):
+    # A run of equal offsets may start with a tie sample: its non-tie nodes
+    # must still be read, and only the tie samples looked up by point.
+    a, cutoff = _edge_case(window, n, ms, density, seed, last_column, CurveParams(beta, 1.0, 2.4))
+    ladder = default_ladder(2)
+    _, width = _padded(a, ladder.block(1)[0], cutoff)
+    blk = _block(a.grid, cutoff, ladder, j, 16, width)
+    sx, sy, _, ties = cell_shifts(cutoff, blk.ts, a.grid)
+    off = ~ties & (sx < n) & (sy < n)
+    want = {(k, int(sy[k, i]) * width + int(sx[k, i])) for k, i in np.argwhere(off)}
+    bounds = np.append(blk.starts, blk.rows.size)
+    got = {(k, int(blk.distinct[r])) for k, lo, hi in zip(np.flatnonzero(blk.filled), bounds,
+                                                          bounds[1:])
+           for r in blk.rows[lo:hi]}
+    assert got == want
+    k, i = np.nonzero(ties)
+    assert np.array_equal(blk.ties, k)
+    assert np.array_equal(blk.tie_dx, blk.ts[k] * cutoff.nodes[i])
+    assert np.array_equal(blk.tie_dy, blk.ts[k] * cutoff.node_powers[i])
+
+
+def test_only_tie_samples_take_point_lookups():
+    # theta = 1.04, 64 nodes: one block-1 scale holds 3 tie samples among its
+    # 64 nodes, and the other 61 keep their offsets
+    params, ladder, sampling = CurveParams(2.0, 1.0, 1.04), default_ladder(2), SamplingConfig(64)
+    a = dead_strip_set(128, params, ladder, 2)
+    cutoff = build_cutoff(params, 64, 0.5)
+    _, width = _padded(a, ladder.block(1)[0], cutoff)
+    ties = [_block(a.grid, cutoff, ladder, j, 16, width).ties.tolist() for j in (1, 2)]
+    assert ties == [[134, 134, 134], []]
+    with mock.patch("pinbeam.prospect.sample_values", wraps=sample_values) as looked_up:
+        got = prospect(a, ladder, params, sampling)
+    assert isinstance(got, ExhaustionReport) and got.scanned == 6144
+    assert sum(np.size(call.args[1]) for call in looked_up.call_args_list) == 3 * 6144
+    assert got == reference_prospect(a, ladder, params, sampling)
 
 
 def hypothesis_by_lookups(a, ladder, j, cutoff):
