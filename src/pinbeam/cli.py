@@ -24,6 +24,7 @@ import numpy as np
 from . import constructions, fields, smoothing
 from .harness import (
     HarnessConstants,
+    _block_arcs,
     _block_scales,
     block_fields,
     check_smallt_scaling,
@@ -36,7 +37,6 @@ from .kernel import CurveParams, Cutoff, build_cutoff, curve_average, validate_p
 from .prospect import (
     BeamCertificate,
     SamplingConfig,
-    check_arc_resolution,
     default_ladder,
     find_dense_window,
     j_bound,
@@ -200,6 +200,9 @@ def _cmd_harness(args: argparse.Namespace) -> int:
     params = _params(cfg)
     if params.requires_swap:
         raise ValueError("harness operates in the beta > 1 system; swap axes first")
+    grid = raster.grid
+    if grid != GridSpec(grid.n):
+        raise ValueError(f"harness needs the unit window, got {grid}")
     constants = HarnessConstants.for_density(
         cfg.delta, p=cfg.p, alpha=cfg.alpha, c0=cfg.c0, tau=cfg.tau, rho=cfg.rho
     )
@@ -207,12 +210,14 @@ def _cmd_harness(args: argparse.Namespace) -> int:
     if not np.isfinite(bound):
         raise ValueError(f"the bound integral(f) - 4 tau is {bound} at tau = {constants.tau:g}")
     cutoff = build_cutoff(params, cfg.nodes, cfg.plateau_frac)
-    grid = raster.grid
+    # One rho list serves the square sums, the small-t rows and the decompositions.
+    rhos = args.rhos or [constants.rho]
+    cvars = [replace(constants, rho=rho) for rho in rhos]
 
-    # Blocks past J0, up to 8, whose fine smoothing scale rho*c_j resolves on the grid.
+    # Blocks past J0, up to 8, whose rho*c_j resolves on the grid at the smallest rho.
     j0 = compute_j0(constants.tau, params)
     blocks = args.blocks or [
-        j for j in range(j0 + 1, 9) if constants.rho * 2.0 ** (-2 * j) >= grid.h
+        j for j in range(j0 + 1, 9) if min(rhos) * 2.0 ** (-2 * j) >= grid.h
     ]
     if not blocks:
         raise ValueError("no admissible blocks: raise the resolution, lower rho, or raise tau")
@@ -220,25 +225,21 @@ def _cmd_harness(args: argparse.Namespace) -> int:
         raise ValueError(
             f"block index {min(blocks)} must exceed J0 = {j0} for tau = {constants.tau:g}"
         )
-    # Before any work: every --rhos value is a power of two, and each block's
-    # arcs and smoothing scale rho * c_j span a cell, at the square sums' rho
-    # (consecutive blocks only) and at each --rhos value.
-    cvars = [replace(constants, rho=rho) for rho in args.rhos or [constants.rho]]
-    with_sq = len(blocks) >= 2 and blocks == list(range(blocks[0], blocks[-1] + 1))
+    # Before any work: each block's arcs span a cell but not the window, and
+    # its smoothing scale rho * c_j spans a cell at each rho.
     ladder = default_ladder(max(blocks))
     for j in blocks:
-        check_arc_resolution(grid, params.theta, ladder.block(j)[0], f"block {j}")
-        for rho in [constants.rho] * with_sq + [cvar.rho for cvar in cvars]:
+        _block_arcs(grid, params, j, ladder.block(j)[0])
+        for rho in rhos:
             _block_scales(grid, ladder, j, rho)
     sq = None
-    if with_sq:
-        sq = compute_sq_sums(raster, ladder, blocks[0] - 1, blocks[-1], constants)
+    if len(blocks) >= 2 and blocks == list(range(blocks[0], blocks[-1] + 1)):
+        sq = [compute_sq_sums(raster, ladder, blocks[0] - 1, blocks[-1], cvar) for cvar in cvars]
     runs, hits = fields.runs, block_fields.hits
 
     decs, grid_rows, smallt_reports = [], [], []
     for j in blocks:
-        smallt = check_smallt_scaling(raster, j, ladder, [cvar.rho for cvar in cvars], cutoff,
-                                      cfg.t_per_octave)
+        smallt = check_smallt_scaling(raster, j, ladder, rhos, cutoff, cfg.t_per_octave)
         smallt_reports.append(smallt)
         for cvar, (_, s_val, s_ratio) in zip(cvars, smallt.rows):
             rep = compute_decomposition(

@@ -17,10 +17,10 @@ constants the analysis leaves ineffective are reported as empirical ratios
 instead of asserted.
 
 Two fields of a block repeat by construction: lhs does not depend on rho,
-and term 4 is the small-t deviation field D(rho).  ``block_fields`` keeps
-them, keyed by what they are computed from (the raster's grid and bitmap,
-the cutoff, the block, min_per_octave, and rho or None for lhs); its 4
-entries hold lhs and D for three values of rho.
+and term 4 is the small-t deviation field D(rho).  ``_block_field`` builds
+them and ``block_fields`` keeps them, keyed by what they are computed from
+(the raster's grid and bitmap, the cutoff, the block, min_per_octave, and
+rho or None for lhs); its 4 entries hold lhs and D for three values of rho.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .cache import LRUCache
 from .fields import extremal_conv_field
-from .kernel import Cutoff, CurveParams, support_radius, t_grid
+from .kernel import Cutoff, CurveParams, support_radius
 from .prospect import (
     ResolutionError,
     ScaleLadder,
@@ -100,13 +100,28 @@ class HarnessConstants:
 block_fields = LRUCache(4)
 
 
-def _block_field(a: RasterSet, cutoff: Cutoff, interval, min_per_octave, rho, compute):
-    """lhs (rho None) or D(rho) of one block: the ScalarField `compute`
-    returns, built once per key and shared uncopied, as it is read-only."""
+def _block_field(a: RasterSet, cutoff: Cutoff, interval, min_per_octave, rho, q: np.ndarray):
+    """lhs (rho None, q = g: "max" of avg q) or D(rho) (q = P_{b_j/rho} g: "absmax"
+    of avg q - q), built once per key and shared uncopied, as it is read-only."""
     key = (a.grid, hashlib.blake2b(a.bitmap.tobytes(), digest_size=16).digest(),
            cutoff.params, cutoff.nodes.tobytes(), cutoff.weights.tobytes(),
            interval, min_per_octave, rho)
-    return block_fields.get(key, compute)
+    mode, base = ("max", None) if rho is None else ("absmax", q)
+    return block_fields.get(key, lambda: _field(a.grid, extremal_conv_field(
+        q, a.grid, cutoff, interval, mode, base=base, min_per_octave=min_per_octave)))
+
+
+def _block_arcs(grid, params: CurveParams, j: int, b: float) -> tuple[int, int]:
+    """Cells (mx, my) that block j's arcs reach in x and y; refuses arcs below
+    a cell or spanning the whole window."""
+    check_arc_resolution(grid, params.theta, b, f"block {j}")
+    mx = math.ceil(params.theta * b / grid.h) + 1
+    my = math.ceil(params.theta ** params.beta * b / grid.h) + 1
+    if mx >= grid.n or my >= grid.n:
+        raise ResolutionError(
+            f"block {j} arcs span the whole window at resolution {grid.n}", 2 * grid.n
+        )
+    return mx, my
 
 
 def _field(grid, values: np.ndarray) -> ScalarField:
@@ -210,19 +225,17 @@ def compute_decomposition(
     eg = martingale_average(g, k_j)
     p_lo, p_hi = poisson_smooth_multi(g, [s_lo, s_hi])
 
-    ts = t_grid(c, b, grid.h, support_radius(cutoff.params), min_per_octave)
     interval = (c, b)
 
-    def sup(q, mode="absmax", base=None):
-        return _field(grid, extremal_conv_field(q, grid, cutoff, interval, mode, base=base, ts=ts))
+    def sup(q):
+        return _field(grid, extremal_conv_field(q, grid, cutoff, interval, "absmax",
+                                                min_per_octave=min_per_octave))
 
-    lhs_field = _block_field(a, cutoff, interval, min_per_octave, None,
-                             lambda: sup(g.values, "max"))
+    lhs_field = _block_field(a, cutoff, interval, min_per_octave, None, g.values)
     t1 = sup(g.values - eg.values)
     t2 = sup(eg.values - p_lo.values)
     t3 = sup(p_lo.values - p_hi.values)
-    t4 = _block_field(a, cutoff, interval, min_per_octave, constants.rho,
-                      lambda: sup(p_hi.values, base=p_hi.values))
+    t4 = _block_field(a, cutoff, interval, min_per_octave, constants.rho, p_hi.values)
 
     lhs, *terms = (pairing(a, f) for f in (lhs_field, t1, t2, t3, t4))
     tail = pairing(a, p_hi)
@@ -285,26 +298,13 @@ def check_smallt_scaling(
     grid = a.grid
     g = complement_in_window(a)
     b, c = ladder.block(j)
-    theta = cutoff.params.theta
-    check_arc_resolution(grid, theta, b, f"block {j}")
-    mx = math.ceil(theta * b / grid.h) + 1
-    my = math.ceil(theta ** cutoff.params.beta * b / grid.h) + 1
-    if mx >= grid.n or my >= grid.n:
-        raise ResolutionError(
-            f"block {j} arcs span the whole window at resolution {grid.n}", 2 * grid.n
-        )
+    mx, my = _block_arcs(grid, cutoff.params, j, b)
     rows = []
     for rho in rho_list:
         if not is_dyadic(rho):
             raise ValueError(f"rho must be a power of two, got {rho}")
-
-        def deviation():
-            (p_hi,) = poisson_smooth_multi(g, [b / rho])
-            return _field(grid, extremal_conv_field(
-                p_hi.values, grid, cutoff, (c, b), "absmax", base=p_hi.values,
-                min_per_octave=min_per_octave))
-
-        dev = _block_field(a, cutoff, (c, b), min_per_octave, rho, deviation).values
+        (p_hi,) = poisson_smooth_multi(g, [b / rho])
+        dev = _block_field(a, cutoff, (c, b), min_per_octave, rho, p_hi.values).values
         s_val = float(dev[: grid.n - my, : grid.n - mx].max())
         rows.append((float(rho), s_val, s_val / rho))
     return SmallTReport(j=j, rows=tuple(rows))
@@ -312,6 +312,7 @@ def check_smallt_scaling(
 
 @dataclass(frozen=True)
 class SqSumReport:
+    rho: float
     j_range: tuple[int, int]  # (j0 + 1, j_hi) inclusive
     sum_poisson: float
     sum_martingale: float
@@ -362,7 +363,7 @@ def compute_sq_sums(
     k1 = sum1 / (log_rho_inv**p * g_norm_p) if g_norm_p > 0 and log_rho_inv > 0 else 0.0
     k2 = sum2 / g_norm_p if g_norm_p > 0 else 0.0
     return SqSumReport(
-        j_range=(j0 + 1, j_hi), sum_poisson=sum1, sum_martingale=sum2,
+        rho=rho, j_range=(j0 + 1, j_hi), sum_poisson=sum1, sum_martingale=sum2,
         per_j_poisson=tuple(s1), per_j_martingale=tuple(s2),
         selected_j=selected, pigeonhole_threshold=thresh,
         k_poisson=k1, k_martingale=k2,

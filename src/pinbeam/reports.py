@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 EXHAUSTION_SCHEMA = 2
+HARNESS_SCHEMA = 2  # schema 1: no "schema" key, and one sq_sums object
 
 
 def encode_real(x: float) -> str:
@@ -137,15 +138,16 @@ def exhaustion_from_dict(d: dict) -> ExhaustionReport:
 def harness_to_dict(
     decompositions: list[DecompositionReport],
     smallt: list[SmallTReport],
-    sq_sums: SqSumReport | None,
+    sq_sums: list[SqSumReport] | None,
 ) -> dict:
     return {
+        "schema": HARNESS_SCHEMA,
         "decompositions": [asdict(r) for r in decompositions],
         "smallt": [
             {"j": r.j, "rows": [{"rho": rho, "s": s, "s_over_rho": q} for rho, s, q in r.rows]}
             for r in smallt
         ],
-        "sq_sums": asdict(sq_sums) if sq_sums is not None else None,
+        "sq_sums": [asdict(r) for r in sq_sums] if sq_sums is not None else None,
     }
 
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pinbeam import (
     BeamCertificate,
     CurveParams,
     GridSpec,
+    RasterSet,
     SamplingConfig,
     default_ladder,
     generate_random,
@@ -695,14 +697,35 @@ class TestHarnessCmd:
             drows = list(csv.reader(fh))
         assert drows[0] == ["i_minus_n", "ratio", "p", "seed"]
 
-    def test_readme_line_fails_before_any_field(self, tmp_path, capsys, engine_runs):
-        # the README's harness line: the default rho for delta 0.4 is 2^-30,
-        # which the square sums over blocks 2..3 cannot resolve
+    def test_readme_line_runs_square_sums_per_rho(self, tmp_path):
+        # the README's harness line at N=256: one rho list serves the square
+        # sums, the small-t rows and the decompositions
+        raster = tmp_path / "a.pb"
+        save_raster(generate_random(GridSpec(256), 0.4, 3), raster)
+        outdir = tmp_path / "out"
+        rc = main(["harness", "--input", str(raster), "--blocks", "2", "3",
+                   "--rhos", "0.5", "0.25", "--tau", "1.7", "--nodes", "32",
+                   "--outdir", str(outdir)])
+        assert rc == EXIT_OK
+        payload = json.loads((outdir / "harness.json").read_text())
+        assert payload["schema"] == reports.HARNESS_SCHEMA == 2
+        want = [
+            json.loads(json.dumps(asdict(compute_sq_sums(
+                load_raster(raster), default_ladder(3), 1, 3, HarnessConstants(tau=1.7, rho=rho)
+            ))))
+            for rho in (0.5, 0.25)
+        ]
+        assert payload["sq_sums"] == want
+        assert [r["rho"] for r in payload["decompositions"]] == [0.5, 0.25] * 2
+
+    def test_density_rule_rho_fails_before_any_field(self, tmp_path, capsys, engine_runs):
+        # without --rhos the density rule's rho for delta 0.4 is 2^-30, which
+        # no block resolves: refused before the square sums or any field
         raster = tmp_path / "a.pb"
         save_raster(generate_random(GridSpec(128), 0.4, 3), raster)
         outdir = tmp_path / "out"
         rc = main(["harness", "--input", str(raster), "--blocks", "2", "3",
-                   "--rhos", "0.25", "0.125", "--tau", "1.7", "--outdir", str(outdir)])
+                   "--tau", "1.7", "--outdir", str(outdir)])
         assert rc == EXIT_ERROR
         assert engine_runs == []
         assert not outdir.exists()
@@ -710,6 +733,22 @@ class TestHarnessCmd:
         with pytest.raises(ResolutionError) as exc:
             compute_sq_sums(load_raster(raster), default_ladder(3), 1, 3, constants)
         assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    @pytest.mark.parametrize("grid", [GridSpec(128, side=2.0), GridSpec(128, (0.3, 0.0))],
+                             ids=["side-2", "origin-0.3"])
+    def test_non_unit_window_fails_before_any_field(self, tmp_path, capsys, engine_runs,
+                                                    grid):
+        # J0's rule and the decay sweep's level assume the unit square
+        raster = tmp_path / "a.pb"
+        save_raster(RasterSet(grid, generate_random(GridSpec(128), 0.4, 3).bitmap), raster)
+        outdir = tmp_path / "out"
+        block_fields.clear()  # a field kept from another test would run no engine
+        rc = main(["harness", "--input", str(raster), "--blocks", "2", "--rhos", "0.25",
+                   "--tau", "1.7", "--nodes", "32", "--outdir", str(outdir)])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: harness needs the unit window, got {grid}\n"
+        assert engine_runs == []
+        assert not outdir.exists()
 
     def test_zero_alpha_refused(self, tmp_path, capsys, engine_runs):
         # delta^(2/alpha) sets the default rho; alpha = 0 must not divide by zero
@@ -803,7 +842,10 @@ class TestHarnessCmd:
         (["--blocks", "2", "5", "--rhos", "0.25"],
          "block 5 arcs are below cell size 0.015625; minimal admissible resolution N = 256"),
         (["--blocks", "2", "--rhos", "0.25", "0.3"], "rho must be a power of two, got 0.3"),
-    ], ids=["rho-c_j", "arcs", "rho-not-dyadic"])
+        (["--blocks", "2", "1", "--rhos", "0.25", "--tau", "7"],
+         "block 1 arcs span the whole window at resolution 64; "
+         "minimal admissible resolution N = 128"),
+    ], ids=["rho-c_j", "arcs", "rho-not-dyadic", "arcs-span"])
     def test_block_rules_fail_before_any_field(self, tmp_path, capsys, engine_runs, flags,
                                                message):
         # each of these once failed only after the fields of an earlier rho or block ran

@@ -265,6 +265,12 @@ class TestFieldReuse:
         assert reused == fresh
 
 
+def test_harness_dict_stamps_its_schema_and_keeps_null_square_sums():
+    assert harness_to_dict([], [], None) == {
+        "schema": 2, "decompositions": [], "smallt": [], "sq_sums": None,
+    }
+
+
 def _one_cell_flipped(a):
     bm = a.bitmap.copy()
     bm[5, 7] = not bm[5, 7]
@@ -339,6 +345,42 @@ class TestBlockFields:
         assert len(engine_runs) == 1
         check_smallt_scaling(**DETERMINANTS[change](kwargs))
         assert len(engine_runs) == 2
+
+
+class TestCallOrder:
+    def test_kept_fields_do_not_depend_on_call_order(self, monkeypatch, engine_runs):
+        # lhs and D(rho) are built in one place, so whichever call fills the store
+        # keeps the same bits
+        monkeypatch.setattr(harness, "block_fields", LRUCache(harness.block_fields.maxsize))
+        a = generate_random(GridSpec(64), 0.4, 37)
+        cut = build_cutoff(P24, 32, 0.5)
+        ladder, rhos = default_ladder(2), [0.25, 0.5]
+        paired = []
+        pair = harness.pairing
+
+        def recording(a, field):
+            paired.append(field.values.tobytes())
+            return pair(a, field)
+
+        monkeypatch.setattr(harness, "pairing", recording)
+
+        def decompositions():
+            return [compute_decomposition(a, 2, ladder, cut, HarnessConstants(
+                tau=_tau_for_block(P24, 2), rho=rho)) for rho in rhos]
+
+        def smallt():
+            return check_smallt_scaling(a, 2, ladder, rhos, cut)
+
+        outcomes = []
+        for first, second in ((decompositions, smallt), (smallt, decompositions)):
+            harness.block_fields.clear()
+            paired.clear()
+            engine_runs.clear()
+            results = {f.__name__: f() for f in (first, second)}
+            outcomes.append((results, list(paired), len(engine_runs)))
+        assert outcomes[0] == outcomes[1]
+        # lhs, then D(rho) and terms 1-3 per rho
+        assert outcomes[0][2] == 1 + 2 * 4
 
 
 class TestSmallT:
@@ -439,7 +481,7 @@ def per_block_sq_sums(a, ladder, j0, j_hi, constants):
     k1 = sum1 / (log_rho_inv**p * g_norm_p) if g_norm_p > 0 and log_rho_inv > 0 else 0.0
     k2 = sum2 / g_norm_p if g_norm_p > 0 else 0.0
     return harness.SqSumReport(
-        j_range=(j0 + 1, j_hi), sum_poisson=sum1, sum_martingale=sum2,
+        rho=rho, j_range=(j0 + 1, j_hi), sum_poisson=sum1, sum_martingale=sum2,
         per_j_poisson=tuple(s1), per_j_martingale=tuple(s2),
         selected_j=selected, pigeonhole_threshold=thresh,
         k_poisson=k1, k_martingale=k2,
