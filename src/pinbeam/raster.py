@@ -60,6 +60,9 @@ class GridSpec:
         if not (math.isfinite(self.side) and self.side > 0):
             raise ValueError(f"window side must be positive, got {self.side}")
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
+        if not all(math.isfinite(o + self.side) for o in self.origin):
+            raise ValueError(f"window corners must be finite, got origin {self.origin} "
+                             f"and side {self.side}")
         object.__setattr__(self, "side", float(self.side))
 
     @property
@@ -286,5 +289,8 @@ def load_raster(path) -> RasterSet:
             raise ValueError(f"sidecar {sidecar}: window_origin must be [x, y], got {origin!r}")
         if type(side) not in (int, float):
             raise ValueError(f"sidecar {sidecar}: window_side must be a number, got {side!r}")
-        grid = GridSpec(n, tuple(origin), side)
+        try:
+            grid = GridSpec(n, tuple(origin), side)
+        except ValueError as exc:
+            raise ValueError(f"sidecar {sidecar}: {exc}") from None
     return RasterSet(grid, bitmap)

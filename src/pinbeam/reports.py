@@ -2,10 +2,12 @@
 
 Every JSON file is written compact, on one line (``write_json``).  Reals in
 certificate and exhaustion files are decimal strings with 17 significant
-digits, which round-trips IEEE doubles bit-for-bit.  An exhaustion file
-(schema 2) holds the columns of ``ExhaustionReport`` as they stand: point
-k is (``x[k]``, ``y[k]``) and ``t[j-1][k]`` its violating scale in block j;
-its ladder must be the dyadic ladder ``ScaleLadder`` of its depth.
+digits, which round-trips IEEE doubles bit-for-bit.  Each file carries
+its ``schema`` and ``outcome``, and its reader refuses others.  Both files
+(schema 2) hold their report's columns as they stand: a certificate's
+``t``, ``u``, ``hit_x`` and ``hit_y`` beside its scalars; an exhaustion's
+point k (``x[k]``, ``y[k]``) and ``t[j-1][k]`` its violating scale in
+block j, over the dyadic ladder ``ScaleLadder`` of its depth.
 Run reports carry a config echo, timings, the tool version, and input
 digests so an outcome can be reproduced from the report alone.
 """
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import typing
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -43,6 +46,8 @@ __all__ = [
     "sha256_file",
 ]
 
+CERTIFICATE_SCHEMA = 2  # schema 1: no "schema" key, and one object per sample
+CERTIFICATE_COLUMNS = ("t", "u", "hit_x", "hit_y")
 EXHAUSTION_SCHEMA = 2
 HARNESS_SCHEMA = 2  # schema 1: no "schema" key, and one sq_sums object
 
@@ -55,9 +60,26 @@ def _pt(p) -> list[str]:
     return [encode_real(p[0]), encode_real(p[1])]
 
 
+@contextmanager
+def _reading(d, outcome: str, schema: int):
+    """Refuse a file of another schema or outcome (no "schema" is schema 1),
+    then report any error of the body as a mismatch of that schema."""
+    found = d.get("schema", 1) if isinstance(d, dict) else None
+    if found != schema:
+        raise ValueError(f"{outcome} JSON has schema {found!r}; only schema {schema} is read")
+    if d.get("outcome") != outcome:
+        raise ValueError(f"{outcome} JSON expected, the file holds outcome {d.get('outcome')!r}")
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"{outcome} JSON does not match schema {schema}: {exc}") from exc
+
+
 def certificate_to_dict(cert: BeamCertificate) -> dict:
-    columns = np.array([cert.t, cert.a, cert.u, cert.hit_x, cert.hit_y], dtype=np.float64)
+    columns = np.array([getattr(cert, k) for k in CERTIFICATE_COLUMNS], dtype=np.float64)
     return {
+        "schema": CERTIFICATE_SCHEMA,
+        "outcome": "certificate",
         "beta": encode_real(cert.beta),
         "eta": encode_real(cert.eta),
         "theta": encode_real(cert.theta),
@@ -65,35 +87,24 @@ def certificate_to_dict(cert: BeamCertificate) -> dict:
         "j": cert.j,
         "t_interval": _pt(cert.t_interval),
         "a_interval": _pt(cert.a_interval),
-        "t_grid_ratio": encode_real(cert.t_grid_ratio),
-        "samples": [
-            {"t": t, "a": a, "u": u, "hit": [x, y]}
-            for t, a, u, x, y in zip(*_encode_reals(columns))
-        ],
-        "gap": _pt(cert.gap),
+        **dict(zip(CERTIFICATE_COLUMNS, _encode_reals(columns))),
     }
 
 
 def certificate_from_dict(d: dict) -> BeamCertificate:
-    try:
+    with _reading(d, "certificate", CERTIFICATE_SCHEMA):
+        if type(d["j"]) is not int:
+            raise ValueError(f"j must be an integer, got {d['j']!r}")
         return BeamCertificate(
             beta=float(d["beta"]),
             eta=float(d["eta"]),
             theta=float(d["theta"]),
             point=(float(d["point"][0]), float(d["point"][1])),
-            j=int(d["j"]),
+            j=d["j"],
             t_interval=(float(d["t_interval"][0]), float(d["t_interval"][1])),
             a_interval=(float(d["a_interval"][0]), float(d["a_interval"][1])),
-            t_grid_ratio=float(d["t_grid_ratio"]),
-            t=tuple(float(s["t"]) for s in d["samples"]),
-            a=tuple(float(s["a"]) for s in d["samples"]),
-            u=tuple(float(s["u"]) for s in d["samples"]),
-            hit_x=tuple(float(s["hit"][0]) for s in d["samples"]),
-            hit_y=tuple(float(s["hit"][1]) for s in d["samples"]),
-            gap=(float(d["gap"][0]), float(d["gap"][1])),
+            **{k: tuple(map(float, d[k])) for k in CERTIFICATE_COLUMNS},
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ValueError(f"certificate JSON does not match schema: {exc}") from exc
 
 
 def _encode_reals(values: np.ndarray) -> list:
@@ -120,19 +131,12 @@ def exhaustion_to_dict(rep: ExhaustionReport) -> dict:
 
 
 def exhaustion_from_dict(d: dict) -> ExhaustionReport:
-    schema = d.get("schema") if isinstance(d, dict) else None
-    if schema != EXHAUSTION_SCHEMA:
-        raise ValueError(
-            f"exhaustion JSON has schema {schema!r}; only schema {EXHAUSTION_SCHEMA} is read"
-        )
-    try:
+    with _reading(d, "exhaustion", EXHAUSTION_SCHEMA):
         ladder = ScaleLadder(len(d["ladder"]))
         if [tuple(map(float, pair)) for pair in d["ladder"]] != list(ladder.entries):
             raise ValueError(f"ladder is not the dyadic ladder of depth {ladder.depth}")
         x, y, *t = (tuple(map(float, col)) for col in (d["x"], d["y"], *d["t"]))
         return ExhaustionReport(ladder, x, y, tuple(t), int(d["scanned"]))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ValueError(f"exhaustion JSON does not match schema {schema}: {exc}") from exc
 
 
 def harness_to_dict(

@@ -32,7 +32,8 @@ Pruned passes.  The field's forward 2-d transform runs as its two 1-d
 passes: a real transform along axis 1 of the n rows that hold data, then a
 complex one along axis 0, zero-padded to L.  Inverse: an unscaled complex
 transform along axis 0, then an unscaled real one along axis 1 of the kept
-rows [0, n) only, then one multiply by fl(1/L^2), then by h^2.  The bits
+rows [0, n) only, in blocks of rows (each row transforms alone, so blocks
+change no bit), then one multiply by fl(1/L^2), then by h^2.  The bits
 equal rfft2/irfft2 at (L, L) with the same spectrum: the skipped rows are
 zeros, which transform to exact zeros, or are dropped; pocketfft's own 2-d
 inverse runs the same 1-d passes unscaled and applies its factor fl(1/L^2),
@@ -151,6 +152,7 @@ def poisson_smooth_multi(field: ScalarField, scales) -> list[ScalarField]:
     inv_area = float(np.longdouble(1) / np.longdouble(size * size))
     f_hat = _padded_rfft2(field.values, size)
     prod = np.empty_like(f_hat)
+    block = max(1, (1 << 18) // size)  # 2 MB of rows, not a whole (n, L) array
     outs = []
     for t in scales:
         key = (grid.n, grid.origin, grid.side, float(t), size)
@@ -158,9 +160,12 @@ def poisson_smooth_multi(field: ScalarField, scales) -> list[ScalarField]:
         # rows half + 1 .. size - 1 of the even spectrum are rows half - 1 .. 1
         np.multiply(f_hat[: half + 1], k_hat, out=prod[: half + 1])
         np.multiply(f_hat[half + 1 :], k_hat[half - 1 : 0 : -1], out=prod[half + 1 :])
-        cols = sfft.ifft(prod, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
-        conv = sfft.irfft(cols[:n], size, axis=1, norm="forward", workers=_FFT_WORKERS)
-        out = conv[:, :n] * inv_area
+        cols = sfft.ifft(prod, axis=0, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)[:n]
+        out = np.empty((n, n))
+        for r in range(0, n, block):
+            conv = sfft.irfft(cols[r : r + block], size, axis=1, norm="forward",
+                              workers=_FFT_WORKERS)
+            np.multiply(conv[:, :n], inv_area, out=out[r : r + block])
         out *= h * h
         out.setflags(write=False)  # ScalarField keeps a read-only array uncopied
         outs.append(ScalarField(grid, out))

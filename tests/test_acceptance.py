@@ -219,10 +219,11 @@ def test_criterion_07_prospector_soundness(tmp_path):
                 if not res.ok:
                     failures.append((params.beta, run, res.failures[:1]))
                 if params.beta < 1:
-                    for t, a_k, u, hit_y in zip(outcome.t, outcome.a, outcome.u, outcome.hit_y):
+                    for t, u, hit_y in zip(outcome.t, outcome.u, outcome.hit_y):
                         if not (params.eta * t < u < params.theta * t):
                             failures.append((params.beta, run, "witness bound"))
                             break
+                        a_k = param_from_scale(t, params.beta)
                         hy = outcome.point[1] + a_k * u**params.beta
                         if abs(hy - hit_y) > 1e-9 * max(1.0, abs(hy)):
                             failures.append((params.beta, run, "conversion"))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,33 +39,9 @@ from pinbeam.reports import (
 from conftest import full_square, single_cell
 
 
-def per_sample_certificate_dict(cert):
-    """The per-sample certificate encoder that the columnar one replaced."""
-
-    def pt(p):
-        return [encode_real(p[0]), encode_real(p[1])]
-
-    return {
-        "beta": encode_real(cert.beta),
-        "eta": encode_real(cert.eta),
-        "theta": encode_real(cert.theta),
-        "point": pt(cert.point),
-        "j": cert.j,
-        "t_interval": pt(cert.t_interval),
-        "a_interval": pt(cert.a_interval),
-        "t_grid_ratio": encode_real(cert.t_grid_ratio),
-        "samples": [
-            {"t": encode_real(t), "a": encode_real(a), "u": encode_real(u), "hit": pt((x, y))}
-            for t, a, u, x, y in zip(cert.t, cert.a, cert.u, cert.hit_x, cert.hit_y)
-        ],
-        "gap": pt(cert.gap),
-    }
-
-
 def hand_certificate(**columns):
     fields = dict(beta=2.0, eta=1.0, theta=2.4, point=(0.5, 0.25), j=1, t_interval=(0.25, 0.5),
-                  a_interval=(2.0, 4.0), t_grid_ratio=1.5, t=(), a=(), u=(), hit_x=(), hit_y=(),
-                  gap=(0.3, 1.1))
+                  a_interval=(2.0, 4.0), t=(), u=(), hit_x=(), hit_y=())
     return BeamCertificate(**{**fields, **columns})
 
 
@@ -87,46 +64,52 @@ class TestReportsRoundTrip:
         cert = prospect(a, default_ladder(1), CurveParams(2.0, 1.0, 2.4),
                         SamplingConfig(nodes=32))
         d = certificate_to_dict(cert)
-        assert set(d) == {"beta", "eta", "theta", "point", "j", "t_interval",
-                          "a_interval", "t_grid_ratio", "samples", "gap"}
+        assert set(d) == {"schema", "outcome", "beta", "eta", "theta", "point", "j",
+                          "t_interval", "a_interval", "t", "u", "hit_x", "hit_y"}
+        assert (d["schema"], d["outcome"]) == (2, "certificate")
         assert isinstance(d["beta"], str) and isinstance(d["j"], int)
         assert all(isinstance(v, str) for v in d["point"])
-        s = d["samples"][0]
-        assert set(s) == {"t", "a", "u", "hit"}
-        assert all(isinstance(s[k], str) for k in ("t", "a", "u"))
+        for k in ("t", "u", "hit_x", "hit_y"):
+            assert len(d[k]) == len(cert.t) and all(isinstance(v, str) for v in d[k])
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([16, 32, 64]), st.floats(0.3, 1.0), st.integers(0, 2**16),
            st.sampled_from([0.5, 2.0]), st.integers(1, 2))
-    def test_columnar_encoder_writes_the_per_sample_bytes(self, n, delta, seed, beta, depth):
+    def test_certificate_file_round_trips(self, n, delta, seed, beta, depth):
         a = generate_random(GridSpec(n), delta, seed)
         cert = prospect(a, default_ladder(depth), CurveParams(beta, 1.0, 2.4),
                         SamplingConfig(nodes=16))
         assume(isinstance(cert, BeamCertificate))
-        text = json.dumps(certificate_to_dict(cert))
-        assert text == json.dumps(per_sample_certificate_dict(cert))
-        assert certificate_from_dict(json.loads(text)) == cert
+        d = json.loads(json.dumps(certificate_to_dict(cert)))
+        assert (d["schema"], d["outcome"]) == (2, "certificate")
+        assert {"t", "u", "hit_x", "hit_y"} <= set(d)
+        assert certificate_from_dict(d) == cert
+
+    def test_readme_certificate_example_has_the_written_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("**Certificate JSON", 1)[1].split("```json\n", 1)[1]
+        example = json.loads(block.split("```", 1)[0])
+        assert list(example) == list(certificate_to_dict(hand_certificate()))
 
     def test_signed_zeros_and_non_finite_witnesses_encode_as_before(self):
-        cert = hand_certificate(t=(0.25, 0.5, 0.5), a=(4.0, 2.0, 2.0), u=(0.0, -0.0, math.inf),
+        cert = hand_certificate(t=(0.25, 0.5, 0.5), u=(0.0, -0.0, math.inf),
                                 hit_x=(math.nan, 0.5, -0.0), hit_y=(0.25, -math.inf, 0.0))
         d = certificate_to_dict(cert)
-        assert json.dumps(d) == json.dumps(per_sample_certificate_dict(cert))
-        assert [s["u"] for s in d["samples"]] == ["0", "-0", "inf"]
+        assert (d["t"], d["u"]) == (["0.25", "0.5", "0.5"], ["0", "-0", "inf"])
+        assert (d["hit_x"], d["hit_y"]) == (["nan", "0.5", "-0"], ["0.25", "-inf", "0"])
         back = certificate_from_dict(json.loads(json.dumps(d)))
-        assert [math.copysign(1.0, v) for v in back.u[:2]] == [1, -1]
+        assert [math.copysign(1.0, v) for v in back.u[:2] + back.hit_x[1:]] == [1, -1, 1, -1]
         assert math.isnan(back.hit_x[0]) and back.hit_y[1:] == cert.hit_y[1:]
 
     def test_empty_certificate_round_trips(self):
         cert = hand_certificate()
         d = json.loads(json.dumps(certificate_to_dict(cert)))
-        assert d["samples"] == []
+        assert (d["t"], d["u"], d["hit_x"], d["hit_y"]) == ([], [], [], [])
         assert certificate_from_dict(d) == cert
 
-    @pytest.mark.parametrize("column", ["t", "a", "u", "hit_x", "hit_y"])
+    @pytest.mark.parametrize("column", ["t", "u", "hit_x", "hit_y"])
     def test_unequal_columns_refused(self, column):
-        columns = dict(t=(0.25, 0.5), a=(4.0, 2.0), u=(0.3, 0.6), hit_x=(0.8, 1.1),
-                       hit_y=(0.6, 0.97))
+        columns = dict(t=(0.25, 0.5), u=(0.3, 0.6), hit_x=(0.8, 1.1), hit_y=(0.6, 0.97))
         columns[column] = columns[column][:1]
         with pytest.raises(ValueError, match="columns of one length"):
             hand_certificate(**columns)
@@ -134,6 +117,28 @@ class TestReportsRoundTrip:
     def test_schema_mismatch_raises(self):
         with pytest.raises(ValueError, match="schema"):
             certificate_from_dict({"beta": "2.0"})
+
+    def test_per_sample_certificate_is_schema_1(self):
+        d = {k: v for k, v in certificate_to_dict(hand_certificate()).items()
+             if k not in ("schema", "outcome", "t", "u", "hit_x", "hit_y")}
+        d |= {"t_grid_ratio": "1.5", "samples": [], "gap": ["0.3", "1.1"]}
+        with pytest.raises(ValueError, match="certificate JSON has schema 1; only schema 2 is read"):
+            certificate_from_dict(d)
+
+    def test_reader_names_the_outcome_it_found(self):
+        rep = ExhaustionReport(default_ladder(1), (0.5,), (0.5,), ((0.375,),), 1)
+        with pytest.raises(ValueError, match="certificate JSON expected, the file holds "
+                                             "outcome 'exhaustion'"):
+            certificate_from_dict(exhaustion_to_dict(rep))
+        with pytest.raises(ValueError, match="exhaustion JSON expected, the file holds "
+                                             "outcome 'certificate'"):
+            exhaustion_from_dict(certificate_to_dict(hand_certificate()))
+
+    @pytest.mark.parametrize("j", [1.7, 1.0, "1", True, None])
+    def test_block_index_must_be_a_json_integer(self, j):
+        d = json.loads(json.dumps(certificate_to_dict(hand_certificate())))
+        with pytest.raises(ValueError, match=f"schema 2: j must be an integer, got {j!r}"):
+            certificate_from_dict({**d, "j": j})
 
     def test_exhaustion_round_trip(self):
         a = single_cell(64, 5, 5)
@@ -316,7 +321,6 @@ class TestReportsRoundTrip:
 
     def test_run_report_version_is_the_project_version(self):
         import tomllib
-        from pathlib import Path
 
         import pinbeam
 
@@ -485,8 +489,13 @@ class TestMalformedInputs:
         ({"window_origin": [0.0, "0"], "window_side": 1.0}, "window_origin"),
         ({"window_origin": [0.0, 0.0], "window_side": "1"}, "window_side"),
         ({"window_origin": [0.0, 0.0], "window_side": True}, "window_side"),
+        ({"window_origin": [math.nan, 0.0], "window_side": 1.0}, "window corners"),
+        ({"window_origin": [math.inf, 0.0], "window_side": 1.0}, "window corners"),
+        ({"window_origin": [0.0, 1e308], "window_side": 1e308}, "window corners"),
+        ({"window_origin": [0.0, 0.0], "window_side": -1.0}, "window side"),
     ], ids=["no-origin", "no-side", "non-object", "short-origin", "scalar-origin",
-            "string-in-origin", "string-side", "bool-side"])
+            "string-in-origin", "string-side", "bool-side", "nan-origin", "inf-origin",
+            "far-edge-overflows", "negative-side"])
     def test_malformed_sidecar(self, tmp_path, capsys, meta, key):
         save_raster(single_cell(64, 5, 5), tmp_path / "a.pb")
         sidecar = tmp_path / "a.meta.json"
@@ -495,6 +504,15 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: sidecar {sidecar}: ") and key in err
         assert err.count("\n") == 1 and not (tmp_path / "c.json").exists()
+
+    def test_vast_window_is_below_resolution(self, tmp_path, capsys):
+        # side / (theta b) overflows a float; the least admissible N does not
+        save_raster(single_cell(64, 5, 5), tmp_path / "a.pb")
+        (tmp_path / "a.meta.json").write_text('{"window_origin": [0, 0], "window_side": 1e308}')
+        assert self._prospect(tmp_path) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: finest ladder block (b_J=0.5) arcs are below cell size ")
+        assert err.endswith(f"; minimal admissible resolution N = {2**1023}\n")
 
     def test_truncated_sidecar(self, tmp_path, capsys):
         save_raster(single_cell(64, 5, 5), tmp_path / "a.pb")
@@ -606,11 +624,11 @@ class TestVerifyCmd:
         raster = tmp_path / "a.pb"
         save_raster(full_square(64), raster)
         cert = tmp_path / "cert.json"
-        cert.write_text('{"beta": "x"}')
+        cert.write_text('{"schema": 2, "outcome": "certificate", "j": 1, "beta": "x"}')
         rc = main(["verify", "--cert", str(cert), "--raster", str(raster), "--nodes", "64"])
         assert rc == EXIT_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("error: certificate JSON does not match schema: ")
+        assert err.startswith("error: certificate JSON does not match schema 2: ")
         assert "'x'" in err and err.count("\n") == 1
 
     @staticmethod
@@ -662,6 +680,32 @@ class TestVerifyCmd:
         save_raster(single_cell(64, 60, 60), other)
         rc = main(["verify", "--cert", str(cert), "--raster", str(other), "--nodes", "64"])
         assert rc == EXIT_VERIFY_FAIL
+
+    def test_exhaustion_file_is_named(self, tmp_path, capsys):
+        params, ladder = CurveParams(2.0, 1.0, 1.05), default_ladder(1)
+        raster = tmp_path / "s.pb"
+        save_raster(dead_strip_set(64, params, ladder, 1), raster)
+        out = tmp_path / "e.json"
+        assert main(["prospect", "--input", str(raster), "--out", str(out), "--theta", "1.05",
+                     "--ladder-depth", "1", "--nodes", "64"]) == EXIT_EXHAUSTION
+        capsys.readouterr()
+        assert main(["verify", "--cert", str(out), "--raster", str(raster)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: certificate JSON expected, the file holds outcome 'exhaustion'\n"
+
+    @pytest.mark.parametrize("j", [3, 1.7])
+    def test_another_block_index_is_refused(self, tmp_path, capsys, j):
+        raster, cert = self._edited_certificate(tmp_path, j=j)
+        capsys.readouterr()
+        rc = main(["verify", "--cert", str(cert), "--raster", str(raster), "--nodes", "64"])
+        out = capsys.readouterr()
+        if j == 3:
+            assert rc == EXIT_VERIFY_FAIL
+            assert out.out == "FAIL: t_interval (0.25, 0.5) is not (c_j, b_j) of block j = 3\n"
+        else:
+            assert rc == EXIT_ERROR
+            assert out.err == ("error: certificate JSON does not match schema 2: "
+                               "j must be an integer, got 1.7\n")
 
     def test_schema_mismatch_is_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -331,6 +331,15 @@ class TestPoissonSmooth:
                 for a, b in zip(got, irfft2_smooth(field, scales)):
                     assert (a.values == b).all(), (side, kind, workers, rad)
 
+    def test_row_blocks_of_the_real_inverse_pass_change_no_bit(self):
+        # n = 512 runs the pass in blocks: 364 + 148 rows at L = 720, 2 x 256 at L = 1024
+        field = rand_field(512, 5)
+        for rad, size in ((200, 720), (511, 1024)):
+            scales = [scale_of_radius(field.grid, rad)]
+            assert smoothing._transform_length(512, rad) == size
+            (got,) = poisson_smooth_multi(field, scales)
+            assert (got.values == irfft2_smooth(field, scales)[0]).all(), rad
+
     def test_pruned_sweep_covers_fifty_odd_lengths(self):
         odd = {
             size
