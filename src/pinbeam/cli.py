@@ -272,6 +272,16 @@ def _cmd_harness(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _git_sha(cwd: str) -> str | None:
+    """The commit checked out at cwd, or None where git fails or is missing."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=cwd, capture_output=True,
+                             text=True, timeout=60)
+    except OSError:
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     n = min(cfg.n, 256)
@@ -323,12 +333,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         timed("exhaustion report",
               lambda: write_json(Path(tmp) / "exhaustion.json", exhaustion_to_dict(outcome)))
-    # The same scan where it meets tie samples: at theta = 1.04 and 64 nodes,
-    # one block-1 scale holds 3, which take point lookups over all 6,144 cells.
+    # The same scan with tie samples: at theta = 1.04 and 64 nodes, the last
+    # block-1 scale holds 3, but every cell misses before that scale's run.
     tie_params = CurveParams(2.0, 1.0, 1.04)
     tie_strips = constructions.dead_strip_set(128, tie_params, default_ladder(2), 2)
     timed("prospect exhaustion tie scale", prospect, tie_strips, default_ladder(2), tie_params,
           replace(_sampling(cfg), nodes=64))
+    # A set that kills blocks 1 to 3 at once (density 0.613): the scan's first
+    # misses over 20,000 of its cells, at depth 3.
+    ladder3 = default_ladder(3)
+    stacked = np.logical_and.reduce([
+        constructions.dead_strip_set(1024, strip_params, ladder3, j, pad_cells=1).bitmap
+        for j in (1, 2, 3)
+    ])
+    timed("prospect exhaustion N=1024 stacked", prospect, RasterSet(GridSpec(1024), stacked),
+          ladder3, strip_params, replace(_sampling(cfg), nodes=64, subsample=20_000))
 
     # The reduce flow's square sums: depth 3, rho = 1/4, every s_hi radius
     # capped at n - 1; its kernel spectra are built here, not cached.
@@ -343,8 +362,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     timed("dense window N=2048", find_dense_window, big, 1.0, (1.0, 0.5))
 
     for name, dt in rows:
-        print(f"{name:30s} {dt * 1000:10.1f} ms")
-    print(f"{'cold start VmHWM':30s} {cold_start_kb / 1024:10.1f} MB")
+        print(f"{name:36s} {dt * 1000:10.1f} ms")
+    print(f"{'cold start VmHWM':36s} {cold_start_kb / 1024:10.1f} MB")
+    if args.json is not None:
+        import scipy
+
+        write_json(args.json, {
+            "rows": [{"name": name, "ms": dt * 1000} for name, dt in rows],
+            "cold_start_vmhwm_mb": cold_start_kb / 1024,
+            "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
+                         "scipy": scipy.__version__},
+            "cpu_count": os.cpu_count(),
+            "git_sha": _git_sha(src),
+        })
     return EXIT_OK
 
 
@@ -388,6 +418,7 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("bench", help="timing micro-benchmarks")
     _add_config_args(sp)
+    sp.add_argument("--json", type=Path, default=None, help="also write the rows to this file")
     sp.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)

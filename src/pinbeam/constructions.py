@@ -71,30 +71,32 @@ def carve_block_arcs(
     """Delete every cell hit by block-j arcs pinned at cells of the region.
 
     The carve is the ladder scan's gather run as a scatter: it clears the
-    scan's own block-j cell offsets (``prospect._block``) from every region
-    cell, those of the non-tie nodes at tie scales among them, and only the
-    block's tie samples through ``cells_of_points``, as the scan looks them
-    up.  So the carved set is exactly the one on which those points fail
-    block j, by construction.
+    scan's own block-j cell offsets (``prospect._block``, the distinct
+    offsets of all its runs) from every region cell, those of the non-tie
+    nodes at tie scales among them, and only the block's tie samples through
+    ``cells_of_points``, as the scan looks them up.  So the carved set is
+    exactly the one on which those points fail block j, by construction.
     """
     grid = a.grid
     n, h = grid.n, grid.h
     region = RasterSet(grid, region_mask)  # refuses a mask of another shape
     padded, width = _padded(a, ladder.block(j)[0], cutoff)
-    blk = _block(grid, cutoff, ladder, j, min_per_octave, width)
+    runs = _block(grid, cutoff, ladder, j, min_per_octave, width)[1]
     iy, ix = np.divmod(np.flatnonzero(region.bitmap), n)
     flat = iy * width + ix
-    step = max(1, _GATHER_ELEMS // max(1, blk.distinct.size))
+    distinct = np.unique(np.concatenate([run.distinct for run in runs]))
+    step = max(1, _GATHER_ELEMS // max(1, distinct.size))
     for lo in range(0, len(flat), step):
-        padded[blk.distinct[:, None] + flat[lo : lo + step]] = False
+        padded[distinct[:, None] + flat[lo : lo + step]] = False
     bitmap = padded.reshape(width, width)[:n, :n]
     x0, y0 = grid.origin
     xc, yc = x0 + (ix + 0.5) * h, y0 + (iy + 0.5) * h
-    step = max(1, _GATHER_ELEMS // max(1, blk.ties.size))
-    for lo in range(0, len(flat), step):
-        jx, jy, inside = cells_of_points(grid, *blk.tie_points(xc[lo : lo + step],
-                                                                yc[lo : lo + step]))
-        bitmap[jy[inside], jx[inside]] = False
+    for run in runs:
+        step = max(1, _GATHER_ELEMS // max(1, run.ties.size))
+        for lo in range(0, len(flat), step):
+            jx, jy, inside = cells_of_points(grid, *run.tie_points(xc[lo : lo + step],
+                                                                    yc[lo : lo + step]))
+            bitmap[jy[inside], jx[inside]] = False
     return RasterSet(grid, bitmap)
 
 

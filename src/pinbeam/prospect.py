@@ -9,10 +9,15 @@ by direct membership lookups.  Exponents below 1 route through the
 coordinate swap and the certificate is expressed back in the caller's system.
 
 The scan reads arc samples as integer offsets into a zero-padded bitmap,
-one gather per batch of cells, by the sampling rule of
-``kernel.cell_shifts``; the tie samples that rule flags, one (scale, node)
-at a time, are looked up through ``raster.sample_values`` instead, and the
-other nodes of their scales keep their offsets.  A run of equal offsets
+by the sampling rule of ``kernel.cell_shifts``.  It gathers each block in
+runs of consecutive scales, 16, 32, 64, ... long, each run over the cells
+that have no miss in the runs before it, so a cell stops at the run of its
+first scale without a witness.  The runs double because a cell that passes
+the block goes through all of them: fixed runs would cost it one gather per
+16 scales, doubling ones about log2(scales / 16).  The tie samples of that
+rule, one (scale, node) at a time, are looked up through
+``raster.sample_values`` instead, and the other nodes of their scales keep
+their offsets.  A scale's run of equal offsets
 keeps the node that starts it or follows a tie, when that node is no tie
 itself, so the keep rule needs no sort.  The scan's outcome is therefore
 the one that per-point lookups give, bit for bit.  Without a certificate,
@@ -239,23 +244,28 @@ def _scan_cells(work: RasterSet, sampling: SamplingConfig) -> np.ndarray:
 
 
 # Elements of one gather's index matrix (cells x offsets, int64): a batch of
-# cells meets a block in chunks of about this size, which bounds peak memory.
+# cells meets a run in chunks of about this size, which bounds peak memory.
 _GATHER_ELEMS = 2**18
+
+# Scales in a block's first run; each later run holds twice as many.
+_RUN_SCALES = 16
 
 
 @dataclass(frozen=True)
 class _Block:
-    """One ladder block's scale samples and their integer cell offsets.
+    """One run of a ladder block: consecutive scale samples and their cell offsets.
 
-    ``distinct`` holds the distinct in-range offsets sy * width + sx into
-    the padded bitmap of every sample but the tie samples.  ``rows`` lists,
-    scale by scale, the distinct offsets each scale reads, and ``starts``
-    indexes the first entry of each scale in ``filled`` (scales with no such
-    offset read 0).  The tie samples take the float lookup: ``ties`` holds
-    the scale index of each, ascending, and ``tie_dx``, ``tie_dy`` its
-    offset (t u, t u^beta) from the pinned point.
+    ``ts`` is the block's scale grid from index ``first`` on, for the run's
+    length.  ``distinct`` holds the distinct in-range offsets sy * width + sx
+    into the padded bitmap of every sample but the tie samples.  ``rows``
+    lists, scale by scale, the distinct offsets each scale reads, and
+    ``starts`` indexes the first entry of each scale in ``filled`` (scales
+    with no such offset read 0).  The tie samples take the float lookup:
+    ``ties`` holds the run's scale index of each, ascending, and ``tie_dx``,
+    ``tie_dy`` its offset (t u, t u^beta) from the pinned point.
     """
 
+    first: int
     ts: np.ndarray
     distinct: np.ndarray
     rows: np.ndarray
@@ -273,31 +283,41 @@ class _Block:
 
 def _block(
     grid: GridSpec, cutoff: Cutoff, ladder: ScaleLadder, j: int, min_per_octave: int, width: int
-) -> _Block:
+) -> tuple[np.ndarray, tuple[_Block, ...]]:
+    """Block j's scale grid and its runs of _RUN_SCALES, 2 _RUN_SCALES, ... scales."""
     b, c = ladder.block(j)
     ts = t_grid(c, b, grid.h, support_radius(cutoff.params), min_per_octave)
+    # One call over the whole grid: the tie margin depends on the largest scale.
     sx, sy, starts, ties = cell_shifts(cutoff, ts, grid)
     # An entry for every run of equal offsets that has an in-range non-tie
     # node: its first such node starts the run or follows a tie, so no sort.
     after_tie = np.zeros_like(ties)
     after_tie[:, 1:] = ties[:, :-1]
     keep = (starts | after_tie) & ~ties & (sx < grid.n) & (sy < grid.n)
-    counts = keep.sum(axis=1)
-    filled = counts > 0
-    # Neighbouring scales move arcs by at most half a cell, so they share most
-    # offsets: gathering each distinct offset once saves most of the reads.
-    distinct, rows = np.unique((sy * width + sx)[keep], return_inverse=True)
-    k, i = np.nonzero(ties)
-    return _Block(
-        ts=ts,
-        distinct=distinct,
-        rows=rows,
-        starts=(np.cumsum(counts) - counts)[filled],
-        filled=filled,
-        ties=k,
-        tie_dx=ts[k] * cutoff.nodes[i],
-        tie_dy=ts[k] * cutoff.node_powers[i],
-    )
+    offsets = sy * width + sx
+    runs = []
+    lo, size = 0, _RUN_SCALES
+    while lo < len(ts):
+        run = slice(lo, lo + size)
+        counts = keep[run].sum(axis=1)
+        filled = counts > 0
+        # Neighbouring scales move arcs by at most half a cell, so they share
+        # most offsets: gathering each distinct offset once saves most reads.
+        distinct, rows = np.unique(offsets[run][keep[run]], return_inverse=True)
+        k, i = np.nonzero(ties[run])
+        runs.append(_Block(
+            first=lo,
+            ts=ts[run],
+            distinct=distinct,
+            rows=rows,
+            starts=(np.cumsum(counts) - counts)[filled],
+            filled=filled,
+            ties=k,
+            tie_dx=ts[run][k] * cutoff.nodes[i],
+            tie_dy=ts[run][k] * cutoff.node_powers[i],
+        ))
+        lo, size = lo + size, 2 * size
+    return ts, tuple(runs)
 
 
 def _padded(raster: RasterSet, b: float, cutoff: Cutoff) -> tuple[np.ndarray, int]:
@@ -327,26 +347,40 @@ def _batches(cells: np.ndarray, grid: GridSpec, width: int):
 
 
 def _first_misses(
-    blk: _Block, padded: np.ndarray, flat: np.ndarray, xc, yc, raster: RasterSet
+    runs: tuple[_Block, ...], padded: np.ndarray, flat: np.ndarray, xc, yc, raster: RasterSet
 ) -> np.ndarray:
-    """Per cell, the index of the first scale without a witness (len(ts) if none)."""
-    n_scales = len(blk.ts)
-    out = np.empty(len(flat), dtype=np.intp)
-    step = max(1, _GATHER_ELEMS // max(1, blk.distinct.size + blk.ties.size))
-    tie_starts = np.flatnonzero(np.diff(blk.ties, prepend=-1))  # each tie scale's first
-    for lo in range(0, len(flat), step):
-        hi = min(lo + step, len(flat))
-        hit = np.zeros((n_scales, hi - lo), dtype=bool)
-        if blk.rows.size:
-            # Cells are packed 8 to a byte, so the OR over each scale's offsets
-            # runs along whole rows of bytes.
-            bits = np.packbits(padded[blk.distinct[:, None] + flat[lo:hi]], axis=1)
-            anyhit = np.bitwise_or.reduceat(bits[blk.rows], blk.starts, axis=0)
-            hit[blk.filled] = np.unpackbits(anyhit, axis=1, count=hi - lo).view(bool)
-        if blk.ties.size:
-            looked = sample_values(raster, *blk.tie_points(xc[lo:hi], yc[lo:hi]))
-            hit[blk.ties[tie_starts]] |= np.logical_or.reduceat(looked, tie_starts, axis=0)
-        out[lo:hi] = np.where(hit.all(axis=0), n_scales, hit.argmin(axis=0))
+    """Per cell, the index of the first block scale without a witness (the
+    block's scale count if none).
+
+    The runs go in order, each over the cells with no miss in the runs
+    before it, so a cell stops at the run of its first miss.  A cell that
+    passes the block goes through every run; as the runs double, that is
+    about log2(scales / _RUN_SCALES) gathers, which together read little
+    more than one gather of the whole block.
+    """
+    n_scales = runs[-1].first + len(runs[-1].ts)
+    out = np.full(len(flat), n_scales, dtype=np.intp)
+    live = np.arange(len(flat))
+    for run in runs:
+        step = max(1, _GATHER_ELEMS // max(1, run.distinct.size + run.ties.size))
+        tie_starts = np.flatnonzero(np.diff(run.ties, prepend=-1))  # each tie scale's first
+        for lo in range(0, len(live), step):
+            cells = live[lo : lo + step]
+            hit = np.zeros((len(run.ts), len(cells)), dtype=bool)
+            if run.rows.size:
+                # Cells are packed 8 to a byte, so the OR over each scale's
+                # offsets runs along whole rows of bytes.
+                bits = np.packbits(padded[run.distinct[:, None] + flat[cells]], axis=1)
+                anyhit = np.bitwise_or.reduceat(bits[run.rows], run.starts, axis=0)
+                hit[run.filled] = np.unpackbits(anyhit, axis=1, count=len(cells)).view(bool)
+            if run.ties.size:
+                looked = sample_values(raster, *run.tie_points(xc[cells], yc[cells]))
+                hit[run.ties[tie_starts]] |= np.logical_or.reduceat(looked, tie_starts, axis=0)
+            missed = ~hit.all(axis=0)
+            out[cells[missed]] = run.first + hit.argmin(axis=0)[missed]
+        live = live[out[live] == n_scales]
+        if not live.size:
+            break
     return out
 
 
@@ -407,7 +441,7 @@ def prospect(
 
     # Batches double from one cell, so an early certificate costs little; a
     # later block only sees the cells before the batch's first certified one.
-    blocks: dict[int, _Block] = {}
+    blocks: dict[int, tuple[np.ndarray, tuple[_Block, ...]]] = {}
     xs, ys = np.empty(len(cells)), np.empty(len(cells))
     t_cols = np.empty((ladder.depth, len(cells)))
     done = 0
@@ -418,14 +452,14 @@ def prospect(
                 break
             if j not in blocks:
                 blocks[j] = _block(grid, cutoff, ladder, j, sampling.min_per_octave, width)
-            blk = blocks[j]
-            miss = _first_misses(blk, padded, flat[:limit], xc[:limit], yc[:limit], raster)
-            passed = miss == len(blk.ts)
+            ts, runs = blocks[j]
+            miss = _first_misses(runs, padded, flat[:limit], xc[:limit], yc[:limit], raster)
+            passed = miss == len(ts)
             if passed.any():
                 limit, cert_j = int(passed.argmax()), j
-            t_cols[j - 1, done : done + limit] = blk.ts[miss[:limit]]
+            t_cols[j - 1, done : done + limit] = ts[miss[:limit]]
         if cert_j:
-            ts = blocks[cert_j].ts
+            ts = blocks[cert_j][0]
             hits = sample_values(raster, *sample_points(cutoff, ts, (xc[limit], yc[limit])))
             return _certificate(params, cutoff, xc[limit], yc[limit], cert_j, ts, hits)
         xs[done : done + len(flat)], ys[done : done + len(flat)] = xc, yc
@@ -447,9 +481,9 @@ def block_hypothesis_holds(
     cell with a witness at every scale.
     """
     padded, width = _padded(a, ladder.block(j)[0], cutoff)
-    blk = _block(a.grid, cutoff, ladder, j, min_per_octave, width)
+    ts, runs = _block(a.grid, cutoff, ladder, j, min_per_octave, width)
     return all(
-        (_first_misses(blk, padded, flat, xc, yc, a) < len(blk.ts)).all()
+        (_first_misses(runs, padded, flat, xc, yc, a) < len(ts)).all()
         for flat, xc, yc in _batches(np.flatnonzero(a.bitmap), a.grid, width)
     )
 

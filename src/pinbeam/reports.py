@@ -3,8 +3,9 @@
 Every JSON file is written compact, on one line (``write_json``).  Reals in
 certificate and exhaustion files are decimal strings with 17 significant
 digits, which round-trips IEEE doubles bit-for-bit.  Each file carries
-its ``schema`` and ``outcome``, and its reader refuses others.  Both files
-(schema 2) hold their report's columns as they stand: a certificate's
+its ``schema`` and ``outcome``, and its reader refuses others; every column
+and every pair is a JSON list, and a pair holds exactly two reals.  Both
+files (schema 2) hold their report's columns as they stand: a certificate's
 ``t``, ``u``, ``hit_x`` and ``hit_y`` beside its scalars; an exhaustion's
 point k (``x[k]``, ``y[k]``) and ``t[j-1][k]`` its violating scale in
 block j, over the dyadic ladder ``ScaleLadder`` of its depth.
@@ -75,6 +76,19 @@ def _reading(d, outcome: str, schema: int):
         raise ValueError(f"{outcome} JSON does not match schema {schema}: {exc}") from exc
 
 
+def _list(value, name: str, length: int | None = None) -> list:
+    """A JSON list, of the given length if one is given; a string is no list."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise ValueError(f"{name} must hold {length} entries, got {len(value)}")
+    return value
+
+
+def _reals(value, name: str, length: int | None = None) -> tuple[float, ...]:
+    return tuple(map(float, _list(value, name, length)))
+
+
 def certificate_to_dict(cert: BeamCertificate) -> dict:
     columns = np.array([getattr(cert, k) for k in CERTIFICATE_COLUMNS], dtype=np.float64)
     return {
@@ -99,11 +113,11 @@ def certificate_from_dict(d: dict) -> BeamCertificate:
             beta=float(d["beta"]),
             eta=float(d["eta"]),
             theta=float(d["theta"]),
-            point=(float(d["point"][0]), float(d["point"][1])),
+            point=_reals(d["point"], "point", 2),
             j=d["j"],
-            t_interval=(float(d["t_interval"][0]), float(d["t_interval"][1])),
-            a_interval=(float(d["a_interval"][0]), float(d["a_interval"][1])),
-            **{k: tuple(map(float, d[k])) for k in CERTIFICATE_COLUMNS},
+            t_interval=_reals(d["t_interval"], "t_interval", 2),
+            a_interval=_reals(d["a_interval"], "a_interval", 2),
+            **{k: _reals(d[k], k) for k in CERTIFICATE_COLUMNS},
         )
 
 
@@ -132,11 +146,14 @@ def exhaustion_to_dict(rep: ExhaustionReport) -> dict:
 
 def exhaustion_from_dict(d: dict) -> ExhaustionReport:
     with _reading(d, "exhaustion", EXHAUSTION_SCHEMA):
-        ladder = ScaleLadder(len(d["ladder"]))
-        if [tuple(map(float, pair)) for pair in d["ladder"]] != list(ladder.entries):
+        entries = [_reals(pair, "ladder entry", 2) for pair in _list(d["ladder"], "ladder")]
+        ladder = ScaleLadder(len(entries))
+        if entries != list(ladder.entries):
             raise ValueError(f"ladder is not the dyadic ladder of depth {ladder.depth}")
-        x, y, *t = (tuple(map(float, col)) for col in (d["x"], d["y"], *d["t"]))
-        return ExhaustionReport(ladder, x, y, tuple(t), int(d["scanned"]))
+        if type(d["scanned"]) is not int:
+            raise ValueError(f"scanned must be an integer, got {d['scanned']!r}")
+        t = tuple(_reals(col, "t column") for col in _list(d["t"], "t"))
+        return ExhaustionReport(ladder, _reals(d["x"], "x"), _reals(d["y"], "y"), t, d["scanned"])
 
 
 def harness_to_dict(

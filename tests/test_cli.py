@@ -20,7 +20,7 @@ from pinbeam import (
     generate_random,
     prospect,
 )
-from pinbeam import reports
+from pinbeam import cli, reports
 from pinbeam.cli import EXIT_ERROR, EXIT_EXHAUSTION, EXIT_OK, EXIT_VERIFY_FAIL, main
 from pinbeam.constructions import dead_strip_set
 from pinbeam.harness import HarnessConstants, block_fields, compute_sq_sums
@@ -139,6 +139,35 @@ class TestReportsRoundTrip:
         d = json.loads(json.dumps(certificate_to_dict(hand_certificate())))
         with pytest.raises(ValueError, match=f"schema 2: j must be an integer, got {j!r}"):
             certificate_from_dict({**d, "j": j})
+
+    @pytest.mark.parametrize("edit", [
+        dict(t="3", u="4", hit_x="5", hit_y="6"),
+        dict(point="12"),
+        dict(point=["1", "2", "3"]),
+        dict(t_interval=["0.25", "0.5", "1"]),
+    ], ids=["string-columns", "string-point", "long-point", "long-t-interval"])
+    def test_certificate_columns_and_pairs_must_be_lists(self, edit):
+        # a string where a list belongs was read one character per entry
+        d = json.loads(json.dumps(certificate_to_dict(hand_certificate())))
+        with pytest.raises(ValueError,
+                           match=r"does not match schema 2: \w+ must (be a list|hold 2)"):
+            certificate_from_dict({**d, **edit})
+
+    @pytest.mark.parametrize("edit", [
+        dict(x="1", y="2", t=["3"]),
+        dict(t="3"),
+        dict(ladder=[["0.5", "0.25", "0"]]),
+        dict(scanned="1"),
+        dict(scanned=1.0),
+        dict(scanned=True),
+    ], ids=["string-columns", "string-t", "long-ladder-entry", "string-scanned",
+            "real-scanned", "bool-scanned"])
+    def test_exhaustion_columns_and_pairs_must_be_lists(self, edit):
+        rep = ExhaustionReport(default_ladder(1), (0.5,), (0.5,), ((0.375,),), 1)
+        d = json.loads(json.dumps(exhaustion_to_dict(rep)))
+        with pytest.raises(ValueError, match="does not match schema 2: "
+                                             "[a-z ]+ must (be a list|hold 2|be an integer)"):
+            exhaustion_from_dict({**d, **edit})
 
     def test_exhaustion_round_trip(self):
         a = single_cell(64, 5, 5)
@@ -631,6 +660,14 @@ class TestVerifyCmd:
         assert err.startswith("error: certificate JSON does not match schema 2: ")
         assert "'x'" in err and err.count("\n") == 1
 
+    def test_string_columns_are_a_schema_error(self, tmp_path, capsys):
+        raster, cert = self._edited_certificate(tmp_path, t="3", u="4", hit_x="5", hit_y="6")
+        capsys.readouterr()
+        rc = main(["verify", "--cert", str(cert), "--raster", str(raster), "--nodes", "64"])
+        assert rc == EXIT_ERROR
+        assert capsys.readouterr().err == ("error: certificate JSON does not match schema 2: "
+                                           "t must be a list, got str\n")
+
     @staticmethod
     def _edited_certificate(tmp_path, **fields):
         """A full-square N=64 raster and its certificate with `fields` replaced."""
@@ -931,8 +968,27 @@ class TestBench:
         assert "certificate JSON" in out
         assert "verify refinement 4" in out
         assert "prospect exhaustion tie scale" in out
+        assert "prospect exhaustion N=1024 stacked" in out
         cold = [line.split() for line in out.splitlines() if line.startswith("cold start")]
         assert [(row[-1], float(row[-2]) > 0) for row in cold] == [("ms", True), ("MB", True)]
+
+    def test_bench_json_holds_the_printed_rows(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        assert main(["bench", "--n", "64", "--nodes", "32", "--delta", "0.3",
+                     "--json", str(path)]) == EXIT_OK
+        printed = [line[:36].strip() for line in capsys.readouterr().out.splitlines()]
+        d = json.loads(path.read_text())
+        assert set(d) == {"rows", "cold_start_vmhwm_mb", "versions", "cpu_count", "git_sha"}
+        assert [row["name"] for row in d["rows"]] == printed[:-1]
+        assert all(set(row) == {"name", "ms"} for row in d["rows"])
+        assert set(d["versions"]) == {"python", "numpy", "scipy"}
+        assert d["git_sha"] is None or len(d["git_sha"]) == 40
+
+    def test_git_sha_is_null_outside_a_repository_or_without_git(self, tmp_path,
+                                                                      monkeypatch):
+        assert cli._git_sha(str(tmp_path)) is None
+        monkeypatch.setenv("PATH", "")
+        assert cli._git_sha(str(tmp_path)) is None
 
     def test_bench_times_the_exhaustion_report(self, capsys):
         assert main(["bench", "--n", "64", "--nodes", "32", "--delta", "0.3"]) == EXIT_OK

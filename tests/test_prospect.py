@@ -37,8 +37,10 @@ from pinbeam.kernel import cell_shifts, sample_points, support_radius, t_grid
 from pinbeam.prospect import (
     DenseWindowResult,
     ResolutionError,
+    _RUN_SCALES,
     _block,
     _certificate,
+    _first_misses,
     _padded,
     _summed_area,
     _window_counts,
@@ -585,35 +587,140 @@ def test_block_reads_each_non_tie_sample_by_offset(window, n, ms, density, seed,
     a, cutoff = _edge_case(window, n, ms, density, seed, last_column, CurveParams(beta, 1.0, 2.4))
     ladder = default_ladder(2)
     _, width = _padded(a, ladder.block(1)[0], cutoff)
-    blk = _block(a.grid, cutoff, ladder, j, 16, width)
-    sx, sy, _, ties = cell_shifts(cutoff, blk.ts, a.grid)
+    ts, runs = _block(a.grid, cutoff, ladder, j, 16, width)
+    sizes = [len(run.ts) for run in runs]
+    assert sizes[:-1] == [_RUN_SCALES << r for r in range(len(runs) - 1)]
+    assert 0 < sizes[-1] <= _RUN_SCALES << (len(runs) - 1)
+    assert [run.first for run in runs] == np.cumsum([0, *sizes[:-1]]).tolist()
+    assert np.array_equal(np.concatenate([run.ts for run in runs]), ts)
+    sx, sy, _, ties = cell_shifts(cutoff, ts, a.grid)
     off = ~ties & (sx < n) & (sy < n)
     want = {(k, int(sy[k, i]) * width + int(sx[k, i])) for k, i in np.argwhere(off)}
-    bounds = np.append(blk.starts, blk.rows.size)
-    got = {(k, int(blk.distinct[r])) for k, lo, hi in zip(np.flatnonzero(blk.filled), bounds,
-                                                          bounds[1:])
-           for r in blk.rows[lo:hi]}
+    got = set()
+    for run in runs:
+        bounds = np.append(run.starts, run.rows.size)
+        got |= {(run.first + k, int(run.distinct[r]))
+                for k, lo, hi in zip(np.flatnonzero(run.filled), bounds, bounds[1:])
+                for r in run.rows[lo:hi]}
     assert got == want
     k, i = np.nonzero(ties)
-    assert np.array_equal(blk.ties, k)
-    assert np.array_equal(blk.tie_dx, blk.ts[k] * cutoff.nodes[i])
-    assert np.array_equal(blk.tie_dy, blk.ts[k] * cutoff.node_powers[i])
+    assert np.array_equal(np.concatenate([run.first + run.ties for run in runs]), k)
+    assert np.array_equal(np.concatenate([run.tie_dx for run in runs]), ts[k] * cutoff.nodes[i])
+    assert np.array_equal(np.concatenate([run.tie_dy for run in runs]),
+                          ts[k] * cutoff.node_powers[i])
+
+
+def first_misses_single_pass(a, cutoff, ladder, j, padded, width, flat, xc, yc):
+    """The one-gather scan that the runs replaced: every cell reads every
+    distinct offset of block j, and its first miss is the argmin over all scales."""
+    b, c = ladder.block(j)
+    ts = t_grid(c, b, a.grid.h, support_radius(cutoff.params))
+    sx, sy, starts, ties = cell_shifts(cutoff, ts, a.grid)
+    after_tie = np.zeros_like(ties)
+    after_tie[:, 1:] = ties[:, :-1]
+    keep = (starts | after_tie) & ~ties & (sx < a.grid.n) & (sy < a.grid.n)
+    counts = keep.sum(axis=1)
+    filled = counts > 0
+    distinct, rows = np.unique((sy * width + sx)[keep], return_inverse=True)
+    hit = np.zeros((len(ts), len(flat)), dtype=bool)
+    if rows.size:
+        bits = np.packbits(padded[distinct[:, None] + flat], axis=1)
+        anyhit = np.bitwise_or.reduceat(bits[rows], (np.cumsum(counts) - counts)[filled], axis=0)
+        hit[filled] = np.unpackbits(anyhit, axis=1, count=len(flat)).view(bool)
+    k, i = np.nonzero(ties)
+    if k.size:
+        tie_starts = np.flatnonzero(np.diff(k, prepend=-1))
+        looked = sample_values(a, xc + (ts[k] * cutoff.nodes[i])[:, None],
+                               yc + (ts[k] * cutoff.node_powers[i])[:, None])
+        hit[k[tie_starts]] |= np.logical_or.reduceat(looked, tie_starts, axis=0)
+    return np.where(hit.all(axis=0), len(ts), hit.argmin(axis=0))
+
+
+def _centres(a, width):
+    """Every set cell's padded offset and centre, in scan order."""
+    iy, ix = np.divmod(np.flatnonzero(a.bitmap), a.grid.n)
+    x0, y0 = a.grid.origin
+    return iy * width + ix, x0 + (ix + 0.5) * a.grid.h, y0 + (iy + 0.5) * a.grid.h
+
+
+@settings(max_examples=60, deadline=None)
+@given(**EDGE_CASES, j=st.sampled_from([1, 2]), beta=st.sampled_from([2.0, 0.5]))
+def test_runs_find_the_single_pass_first_misses(window, n, ms, density, seed, last_column, j,
+                                                beta):
+    a, cutoff = _edge_case(window, n, ms, density, seed, last_column, CurveParams(beta, 1.0, 2.4))
+    ladder = default_ladder(2)
+    padded, width = _padded(a, ladder.block(1)[0], cutoff)
+    cells = _centres(a, width)
+    runs = _block(a.grid, cutoff, ladder, j, 16, width)[1]
+    want = first_misses_single_pass(a, cutoff, ladder, j, padded, width, *cells)
+    assert np.array_equal(_first_misses(runs, padded, *cells, a), want)
+
+
+@pytest.mark.parametrize("m", [15, 16, 47, 48, "last", "none"])
+def test_first_misses_on_run_edges(m):
+    # One pinned cell whose block-2 arcs meet the set at every scale before m
+    # and miss it at m: each earlier scale keeps one witness off scale m's cells.
+    n, ladder = 128, default_ladder(2)
+    grid, cutoff = GridSpec(n), build_cutoff(P24, 32, 0.5)
+    b, c = ladder.block(2)
+    ts = t_grid(c, b, grid.h, support_radius(cutoff.params))
+    m = {"last": len(ts) - 1, "none": len(ts)}.get(m, m)
+    ix = iy = 3
+    jx, jy, inside = cells_of_points(grid, *sample_points(cutoff, ts, ((ix + 0.5) / n,
+                                                                        (iy + 0.5) / n)))
+    missed = set(zip(jx[m][inside[m]], jy[m][inside[m]])) if m < len(ts) else set()
+    bm = np.zeros((n, n), dtype=bool)
+    bm[iy, ix] = True
+    for k in range(m):
+        x, y = next(p for p in zip(jx[k][inside[k]], jy[k][inside[k]]) if p not in missed)
+        bm[y, x] = True
+    a = RasterSet(grid, bm)
+    padded, width = _padded(a, b, cutoff)
+    cells = _centres(a, width)
+    got = _first_misses(_block(grid, cutoff, ladder, 2, 16, width)[1], padded, *cells, a)
+    assert np.array_equal(got, first_misses_single_pass(a, cutoff, ladder, 2, padded, width,
+                                                        *cells))
+    assert got[cells[0].tolist().index(iy * width + ix)] == m
+
+
+def test_a_passing_cell_gathers_each_run_once():
+    # reduce's unit instance: N=1024, 64 nodes, block 1 of 3 holds 4,431
+    # scales; a cell that passes them all meets 9 doubling runs, not 277 of 16
+    n = 1024
+    a, cutoff, ladder = full_square(n), build_cutoff(P24, 64, 0.5), default_ladder(3)
+    padded, width = _padded(a, ladder.block(1)[0], cutoff)
+    ts, runs = _block(a.grid, cutoff, ladder, 1, 16, width)
+    assert len(ts) == 4431
+    centre = np.array([0.5 / n])
+    with mock.patch("numpy.packbits", wraps=np.packbits) as gathers:
+        miss = _first_misses(runs, padded, np.array([0]), centre, centre, a)
+    assert miss.tolist() == [len(ts)]
+    assert gathers.call_count <= math.ceil(math.log2(len(ts) / _RUN_SCALES + 1))
 
 
 def test_only_tie_samples_take_point_lookups():
-    # theta = 1.04, 64 nodes: one block-1 scale holds 3 tie samples among its
-    # 64 nodes, and the other 61 keep their offsets
+    # theta = 1.04, 64 nodes: the last block-1 scale, 134, holds 3 tie samples
+    # among its 64 nodes, and the other 61 keep their offsets
     params, ladder, sampling = CurveParams(2.0, 1.0, 1.04), default_ladder(2), SamplingConfig(64)
     a = dead_strip_set(128, params, ladder, 2)
     cutoff = build_cutoff(params, 64, 0.5)
     _, width = _padded(a, ladder.block(1)[0], cutoff)
-    ties = [_block(a.grid, cutoff, ladder, j, 16, width).ties.tolist() for j in (1, 2)]
+    blocks = [_block(a.grid, cutoff, ladder, j, 16, width) for j in (1, 2)]
+    ties = [np.concatenate([run.first + run.ties for run in runs]).tolist() for _, runs in blocks]
     assert ties == [[134, 134, 134], []]
     with mock.patch("pinbeam.prospect.sample_values", wraps=sample_values) as looked_up:
         got = prospect(a, ladder, params, sampling)
     assert isinstance(got, ExhaustionReport) and got.scanned == 6144
-    assert sum(np.size(call.args[1]) for call in looked_up.call_args_list) == 3 * 6144
     assert got == reference_prospect(a, ladder, params, sampling)
+    # Only the cells whose first block-1 miss lies in the last run, scales
+    # 112..134, reach the tie scale: on these strips, none.
+    (ts, runs), _ = blocks
+    reaching = int((np.array(got.t[0]) >= ts[runs[-1].first]).sum())
+    assert sum(np.size(call.args[1]) for call in looked_up.call_args_list) == 3 * reaching == 0
+    # A cell that passes block 1 reaches it and looks up its 3 tie samples only.
+    with mock.patch("pinbeam.prospect.sample_values", wraps=sample_values) as looked_up:
+        assert not block_hypothesis_holds(full_square(128), ladder, 1, cutoff)
+    assert [np.size(call.args[1]) for call in looked_up.call_args_list] == [3]
 
 
 def hypothesis_by_lookups(a, ladder, j, cutoff):
@@ -686,7 +793,7 @@ class TestCarve:
         a, cutoff = _edge_case(EDGE_WINDOWS[1], 16, [36, 40, 42, 64, 68], 0.3, 46960, 56024)
         ladder = default_ladder(2)
         _, width = _padded(a, ladder.block(1)[0], cutoff)
-        assert _block(a.grid, cutoff, ladder, 1, 16, width).ties.size > 0
+        assert any(run.ties.size for run in _block(a.grid, cutoff, ladder, 1, 16, width)[1])
         region = np.random.default_rng(0).random((16, 16)) < 0.3
         got = carve_block_arcs(a, region, ladder, 1, cutoff)
         assert np.array_equal(got.bitmap, carve_by_lookups(a, region, ladder, 1, cutoff))
