@@ -33,10 +33,11 @@ from .harness import (
     compute_sq_sums,
     decay_sweep,
 )
-from .kernel import CurveParams, Cutoff, build_cutoff, curve_average, validate_params
+from .kernel import CurveParams, build_cutoff, curve_average, validate_params
 from .prospect import (
     BeamCertificate,
     SamplingConfig,
+    _working_system,
     default_ladder,
     find_dense_window,
     j_bound,
@@ -47,6 +48,7 @@ from .raster import (
     GridSpec,
     RasterSet,
     ScalarField,
+    axis_swap,
     generate_random,
     indicator,
     load_raster,
@@ -112,13 +114,16 @@ def _sampling(cfg: RunConfig) -> SamplingConfig:
     )
 
 
-def _carved_quadrant(n: int, block: int, cutoff: Cutoff, min_per_octave: int) -> RasterSet:
-    """The full square less every cell hit by block arcs from its lower-left quadrant."""
-    full = RasterSet(GridSpec(n), np.ones((n, n), dtype=bool))
-    region = np.zeros((n, n), dtype=bool)
-    region[: n // 2, : n // 2] = True
+def _carved_quadrant(n: int, block: int, params: CurveParams,
+                     sampling: SamplingConfig) -> RasterSet:
+    """The full square less every cell hit by block arcs from its lower-left quadrant,
+    carved in the working system and swapped back; the quadrant is its own mirror image."""
+    full, cutoff = _working_system(RasterSet(GridSpec(n), np.ones((n, n), bool)), params, sampling)
+    low = np.arange(n) < n // 2
     ladder = default_ladder(max(block, 1))
-    return constructions.carve_block_arcs(full, region, ladder, block, cutoff, min_per_octave)
+    carved = constructions.carve_block_arcs(full, np.logical_and.outer(low, low), ladder, block,
+                                            cutoff, sampling.min_per_octave)
+    return axis_swap(carved) if params.requires_swap else carved
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +144,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         ladder = default_ladder(max(args.block, 1))
         raster = constructions.dead_strip_set(cfg.n, params, ladder, args.block)
     elif args.kind == "carved":
-        cutoff = build_cutoff(_params(cfg), cfg.nodes, cfg.plateau_frac)
-        raster = _carved_quadrant(cfg.n, args.block, cutoff, cfg.t_per_octave)
+        raster = _carved_quadrant(cfg.n, args.block, _params(cfg), _sampling(cfg))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown kind {args.kind}")
     save_raster(raster, args.out)
@@ -197,19 +201,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_harness(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     raster = load_raster(args.input)
-    params = _params(cfg)
-    if params.requires_swap:
-        raise ValueError("harness operates in the beta > 1 system; swap axes first")
-    grid = raster.grid
-    if grid != GridSpec(grid.n):
-        raise ValueError(f"harness needs the unit window, got {grid}")
+    if raster.grid != GridSpec(raster.grid.n):
+        raise ValueError(f"harness needs the unit window, got {raster.grid}")
+    raster, cutoff = _working_system(raster, _params(cfg), _sampling(cfg))
+    params, grid = cutoff.params, raster.grid
     constants = HarnessConstants.for_density(
         cfg.delta, p=cfg.p, alpha=cfg.alpha, c0=cfg.c0, tau=cfg.tau, rho=cfg.rho
     )
     bound = measure(raster) - 4.0 * constants.tau
     if not np.isfinite(bound):
         raise ValueError(f"the bound integral(f) - 4 tau is {bound} at tau = {constants.tau:g}")
-    cutoff = build_cutoff(params, cfg.nodes, cfg.plateau_frac)
     # One rho list serves the square sums, the small-t rows and the decompositions.
     rhos = args.rhos or [constants.rho]
     cvars = [replace(constants, rho=rho) for rho in rhos]
@@ -282,6 +283,17 @@ def _git_sha(cwd: str) -> str | None:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
+def _blas() -> str | None:
+    """The BLAS library SciPy was built with, as "name version", or None."""
+    import scipy
+
+    try:  # SciPy before 1.11 has no dicts mode
+        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        return None
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     n = min(cfg.n, 256)
@@ -323,7 +335,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             timed("certificate JSON",
                   lambda: write_json(Path(tmp) / "cert.json", certificate_to_dict(cert)))
         timed("verify refinement 4", verify_certificate, raster, cert, 4, _sampling(cfg))
-    timed("carve block 2", _carved_quadrant, n, 2, cutoff, cfg.t_per_octave)
+    timed("carve block 2", _carved_quadrant, n, 2, params, _sampling(cfg))
 
     # Every cell fails both blocks, so the scan runs over all 6,144 cells.
     strip_params = CurveParams(2.0, 1.0, 1.05)
@@ -333,9 +345,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         timed("exhaustion report",
               lambda: write_json(Path(tmp) / "exhaustion.json", exhaustion_to_dict(outcome)))
-    # The same scan with tie samples: at theta = 1.04 and 64 nodes, the last
-    # block-1 scale holds 3, but every cell misses before that scale's run.
-    tie_params = CurveParams(2.0, 1.0, 1.04)
+    # The same scan with tie samples: at theta = 1.048 and 64 nodes, each of
+    # the 6,144 cells looks one up.
+    tie_params = CurveParams(2.0, 1.0, 1.048)
     tie_strips = constructions.dead_strip_set(128, tie_params, default_ladder(2), 2)
     timed("prospect exhaustion tie scale", prospect, tie_strips, default_ladder(2), tie_params,
           replace(_sampling(cfg), nodes=64))
@@ -374,6 +386,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                          "scipy": scipy.__version__},
             "cpu_count": os.cpu_count(),
             "git_sha": _git_sha(src),
+            "blas": _blas(),
+            "fft_workers": smoothing._FFT_WORKERS,
+            "thread_env": {k: os.environ.get(k)
+                           for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         })
     return EXIT_OK
 

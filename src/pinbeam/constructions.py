@@ -2,10 +2,9 @@
 arc carvings, and block checkerboards.
 
 These are the counter-instances the inequality harness and the search are
-exercised against.  The stripe construction is the workhorse: vertical dead
-strips placed so that from every column some scale in the block has its
-whole arc span inside a strip, making the block's infimum vanish at every
-set cell by construction.
+exercised against.  The stripe construction is the workhorse: dead strips
+placed so that from every set cell some scale in the block has its whole
+arc span inside a strip, so the block's infimum vanishes at every set cell.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from .kernel import Cutoff, CurveParams
 from .prospect import _GATHER_ELEMS, ScaleLadder, _block, _padded
-from .raster import GridSpec, RasterSet, cells_of_points
+from .raster import GridSpec, RasterSet, axis_swap, cells_of_points
 
 __all__ = [
     "carve_block_arcs",
@@ -33,16 +32,16 @@ def dead_strip_set(
     pad_cells: int = 2,
     phase_cells: int = 0,
 ) -> RasterSet:
-    """Unit-window set of full-height columns with periodic dead strips.
+    """Unit-window set with periodic dead strips, vertical for beta > 1.
 
     Strips of width ceil(b_j (theta - eta) / h) + 2 * pad_cells repeat with
     period floor(eta * c_j / h), so every pinned point has a scale t in
-    [c_j, b_j] whose arc samples all fall in dead columns (or outside the
-    window).  Requires beta > 1 and a grid fine enough that the period
-    exceeds the strip width.
+    [c_j, b_j] whose arc samples all fall in dead strips (or outside the
+    window).  For beta < 1 they are those of params.swapped(), swapped back:
+    horizontal.  Requires a grid whose period exceeds the strip width.
     """
-    if params.beta <= 1:
-        raise ValueError("strip construction works in the beta > 1 system")
+    if params.requires_swap:
+        return axis_swap(dead_strip_set(n, params.swapped(), ladder, j, pad_cells, phase_cells))
     grid = GridSpec(n)
     h = grid.h
     b, c = ladder.block(j)

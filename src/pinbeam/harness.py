@@ -113,15 +113,25 @@ def _block_field(a: RasterSet, cutoff: Cutoff, interval, min_per_octave, rho, q:
 
 def _block_arcs(grid, params: CurveParams, j: int, b: float) -> tuple[int, int]:
     """Cells (mx, my) that block j's arcs reach in x and y; refuses arcs below
-    a cell or spanning the whole window."""
+    a cell or spanning the whole window.
+
+    Arcs of reach r span the window at resolution N while ceil(r N / side)
+    + 1 >= N, so a resolution that resolves them exists iff r < side; the
+    advice names the least one, a power of two as every resolution is.
+    """
     check_arc_resolution(grid, params.theta, b, f"block {j}")
     mx = math.ceil(params.theta * b / grid.h) + 1
     my = math.ceil(params.theta ** params.beta * b / grid.h) + 1
-    if mx >= grid.n or my >= grid.n:
-        raise ResolutionError(
-            f"block {j} arcs span the whole window at resolution {grid.n}", 2 * grid.n
-        )
-    return mx, my
+    if max(mx, my) < grid.n:
+        return mx, my
+    reach = max(params.theta, params.theta ** params.beta) * b
+    if not reach < grid.side:
+        raise ValueError(f"block {j} arcs reach {reach:g}, not below the window side "
+                         f"{grid.side:g}: no resolution resolves block {j}")
+    n_min = 2 * grid.n
+    while math.ceil(reach / (grid.side / n_min)) + 1 >= n_min:
+        n_min *= 2
+    raise ResolutionError(f"block {j} arcs span the whole window at resolution {grid.n}", n_min)
 
 
 def _field(grid, values: np.ndarray) -> ScalarField:

@@ -121,7 +121,11 @@ def param_from_scale(t: float, beta: float) -> float:
         raise ValueError("linear case excluded: beta = 1")
     if not t > 0:
         raise ValueError(f"scale must be positive, got {t}")
-    return _pow_dyadic_aware(t, 1.0 - beta)
+    try:
+        return _pow_dyadic_aware(t, 1.0 - beta)
+    except OverflowError:
+        raise ValueError(f"coefficient a = t^(1-beta) overflows a float at t = {t:g}, "
+                         f"beta = {beta:g}") from None
 
 
 # ---------------------------------------------------------------------------

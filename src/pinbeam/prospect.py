@@ -73,7 +73,10 @@ class ResolutionError(ValueError):
     """Requested scales are below what the grid resolves."""
 
     def __init__(self, message: str, min_resolution: int):
-        super().__init__(f"{message}; minimal admissible resolution N = {min_resolution}")
+        # Resolutions are powers of two; one past 2^32, which no raster
+        # reaches, is printed as one.
+        shown = f"2^{min_resolution.bit_length() - 1}" if min_resolution > 2**32 else min_resolution
+        super().__init__(f"{message}; minimal admissible resolution N = {shown}")
         self.min_resolution = min_resolution
 
 
@@ -433,6 +436,9 @@ def prospect(
     if a.cell_count == 0:
         raise ValueError("cannot prospect an empty set")
     raster, cutoff = _working_system(a, params, sampling)
+    # Before the scan: the deepest block's coefficients, the largest for beta > 1, are floats.
+    for t in ladder.block(ladder.depth):
+        param_from_scale(t, params.beta)
     grid = raster.grid
     b_last = ladder.block(ladder.depth)[0]
     check_arc_resolution(grid, cutoff.params.theta, b_last, f"finest ladder block (b_J={b_last:g})")

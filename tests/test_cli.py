@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +25,16 @@ from pinbeam import cli, reports
 from pinbeam.cli import EXIT_ERROR, EXIT_EXHAUSTION, EXIT_OK, EXIT_VERIFY_FAIL, main
 from pinbeam.constructions import dead_strip_set
 from pinbeam.harness import HarnessConstants, block_fields, compute_sq_sums
-from pinbeam.prospect import ExhaustionReport, ResolutionError
-from pinbeam.raster import axis_swap, load_raster, save_raster
+from pinbeam.prospect import (
+    ExhaustionReport,
+    ResolutionError,
+    _batches,
+    _block,
+    _first_misses,
+    _padded,
+    _working_system,
+)
+from pinbeam.raster import axis_swap, load_raster, sample_values, save_raster
 from pinbeam.reports import (
     RunConfig,
     certificate_from_dict,
@@ -409,6 +418,41 @@ class TestGen:
                    "--nodes", "32", "--out", str(out)])
         assert rc == EXIT_OK
 
+    def test_stripes_below_beta_one_are_the_swapped_strips(self, tmp_path):
+        # horizontal strips, on which prospect exhausts as on the transposed
+        # set in the beta > 1 system, with x and y exchanged
+        flags = ["--beta", "0.5", "--eta", "1", "--theta", "1.1025"]
+        out, ex = tmp_path / "s.pb", tmp_path / "e.json"
+        assert main(["gen", "--kind", "stripes", "--n", "128", "--block", "2", "--out", str(out),
+                     *flags]) == EXIT_OK
+        assert main(["prospect", "--input", str(out), "--out", str(ex), "--ladder-depth", "2",
+                     "--nodes", "64", *flags]) == EXIT_EXHAUSTION
+        a, params = load_raster(out), CurveParams(0.5, 1.0, 1.1025)
+        assert params.swapped() == CurveParams(2.0, 1.0, 1.05)
+        strips = axis_swap(dead_strip_set(128, params.swapped(), default_ladder(2), 2))
+        assert a.grid == strips.grid and np.array_equal(a.bitmap, strips.bitmap)
+        got = exhaustion_from_dict(json.loads(ex.read_text()))
+        want = prospect(axis_swap(a), default_ladder(2), params.swapped(),
+                        SamplingConfig(nodes=64))
+        assert (got.x, got.y, got.t, got.scanned) == (want.y, want.x, want.t, 6144)
+
+    def test_carved_below_beta_one_kills_block_one_in_prospects_system(self, tmp_path):
+        # carved in the caller's system, the quadrant kept the point
+        # (0.00390625, 0.49609375), which has a witness at every block-1 scale
+        # of prospect's scan in the swapped system
+        out = tmp_path / "c.pb"
+        assert main(["gen", "--kind", "carved", "--beta", "0.3", "--eta", "0.3", "--theta", "2",
+                     "--nodes", "8", "--n", "128", "--block", "1", "--out", str(out)]) == EXIT_OK
+        sampling = SamplingConfig(nodes=8)
+        work, cutoff = _working_system(load_raster(out), CurveParams(0.3, 0.3, 2.0), sampling)
+        ladder, low = default_ladder(1), np.arange(128) < 64
+        padded, width = _padded(work, ladder.block(1)[0], cutoff)
+        ts, runs = _block(work.grid, cutoff, ladder, 1, sampling.min_per_octave, width)
+        cells = np.flatnonzero(work.bitmap & np.logical_and.outer(low, low))
+        assert cells.size
+        for flat, xc, yc in _batches(cells, work.grid, width):
+            assert (_first_misses(runs, padded, flat, xc, yc, work) < len(ts)).all()
+
 
 class TestProspectCmd:
     def test_full_square_certifies(self, tmp_path):
@@ -541,7 +585,7 @@ class TestMalformedInputs:
         assert self._prospect(tmp_path) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: finest ladder block (b_J=0.5) arcs are below cell size ")
-        assert err.endswith(f"; minimal admissible resolution N = {2**1023}\n")
+        assert err.endswith("; minimal admissible resolution N = 2^1023\n")
 
     def test_truncated_sidecar(self, tmp_path, capsys):
         save_raster(single_cell(64, 5, 5), tmp_path / "a.pb")
@@ -602,6 +646,34 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "c.json").exists()
+
+    def test_overflowing_coefficient_refused_before_the_scan(self, tmp_path, capsys):
+        # beta = 600 is admissible, but a = (1/4)^(1 - 600) = 2^1198 is no float
+        save_raster(full_square(64), tmp_path / "a.pb")
+        with mock.patch("pinbeam.prospect._first_misses") as scan:
+            assert self._prospect(tmp_path, "--beta", "600", "--eta", "1", "--theta", "1.001",
+                                  "--nodes", "16") == EXIT_ERROR
+        assert scan.call_count == 0
+        assert capsys.readouterr().err == (
+            "error: coefficient a = t^(1-beta) overflows a float at t = 0.25, beta = 600\n"
+        )
+        assert not (tmp_path / "c.json").exists()
+
+    def test_overflowing_certificate_coefficient_is_an_error(self, tmp_path, capsys):
+        raster = tmp_path / "a.pb"
+        save_raster(full_square(64), raster)
+        cert = tmp_path / "cert.json"
+        assert main(["prospect", "--input", str(raster), "--out", str(cert), "--theta", "1.001",
+                     "--nodes", "16", "--ladder-depth", "1"]) == EXIT_OK
+        body = json.loads(cert.read_text())
+        body["beta"] = "600"
+        cert.write_text(json.dumps(body))
+        capsys.readouterr()
+        assert main(["verify", "--cert", str(cert), "--raster", str(raster), "--theta", "1.001",
+                     "--nodes", "16"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: coefficient a = t^(1-beta) overflows a float at t = 0.25, beta = 600\n"
+        )
 
     def test_overflowing_certificate_parameters_refused(self, tmp_path, capsys):
         raster = tmp_path / "a.pb"
@@ -924,8 +996,8 @@ class TestHarnessCmd:
          "block 5 arcs are below cell size 0.015625; minimal admissible resolution N = 256"),
         (["--blocks", "2", "--rhos", "0.25", "0.3"], "rho must be a power of two, got 0.3"),
         (["--blocks", "2", "1", "--rhos", "0.25", "--tau", "7"],
-         "block 1 arcs span the whole window at resolution 64; "
-         "minimal admissible resolution N = 128"),
+         "block 1 arcs reach 2.88, not below the window side 1: "
+         "no resolution resolves block 1"),
     ], ids=["rho-c_j", "arcs", "rho-not-dyadic", "arcs-span"])
     def test_block_rules_fail_before_any_field(self, tmp_path, capsys, engine_runs, flags,
                                                message):
@@ -940,6 +1012,32 @@ class TestHarnessCmd:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert engine_runs == []
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("n, blocks, rhos", [(64, ["2"], ["0.25"]), (128, ["2", "3"], ["0.5"])],
+                             ids=["N=64", "N=128-sq-sums"])
+    def test_beta_below_one_runs_in_the_swapped_system(self, tmp_path, n, blocks, rhos):
+        # (0.5, 1, 5.76) swaps to (2, 1, 2.4) exactly, so the run on a set is
+        # the run on its transpose in the beta > 1 system
+        a = generate_random(GridSpec(n), 0.4, 7)
+        assert CurveParams(0.5, 1.0, 5.76).swapped() == CurveParams(2.0, 1.0, 2.4)
+        outs = []
+        for name, raster, theta, beta in [("lo", a, "5.76", "0.5"),
+                                          ("hi", axis_swap(a), "2.4", "2")]:
+            save_raster(raster, tmp_path / f"{name}.pb")
+            block_fields.clear()  # the second run would reuse the first run's fields
+            assert main(["harness", "--input", str(tmp_path / f"{name}.pb"), "--beta", beta,
+                         "--eta", "1", "--theta", theta, "--blocks", *blocks, "--rhos", *rhos,
+                         "--tau", "1.7", "--nodes", "32", "--check-hypothesis",
+                         "--outdir", str(tmp_path / name)]) == EXIT_OK
+            outs.append(tmp_path / name)
+        lo, hi = outs
+        for name in ("grid.csv", "decay.csv"):
+            assert (lo / name).read_bytes() == (hi / name).read_bytes()
+        lo_json, hi_json = (json.loads((d / "harness.json").read_text()) for d in outs)
+        for key in ("decompositions", "smallt", "sq_sums", "decay"):
+            assert lo_json[key] == hi_json[key]
+        assert (lo_json["sq_sums"] is None) == (n == 64)
+        assert lo_json["config"]["beta"] == 0.5  # the caller's config echo
 
     def test_config_file_with_flag_override(self, tmp_path):
         raster = tmp_path / "a.pb"
@@ -957,9 +1055,22 @@ class TestHarnessCmd:
 
 
 class TestBench:
-    def test_bench_runs(self, capsys):
+    def test_bench_runs(self, capsys, monkeypatch):
+        # each prospect row's point lookups and outcome, in row order
+        calls, scan = [], cli.prospect
+
+        def recorded(*args):
+            with mock.patch("pinbeam.prospect.sample_values", wraps=sample_values) as looked_up:
+                outcome = scan(*args)
+            calls.append((sum(np.size(c.args[1]) for c in looked_up.call_args_list), outcome))
+            return outcome
+
+        monkeypatch.setattr(cli, "prospect", recorded)
         assert main(["bench", "--n", "64", "--nodes", "32", "--delta", "0.3"]) == EXIT_OK
         out = capsys.readouterr().out
+        names = [line[:36].strip() for line in out.splitlines() if line.startswith("prospect")]
+        lookups, outcome = dict(zip(names, calls))["prospect exhaustion tie scale"]
+        assert lookups == 6144 and isinstance(outcome, ExhaustionReport)
         assert "prospect" in out
         assert "sq sums N=1024" in out
         assert "spectra N=2048" in out
@@ -978,11 +1089,25 @@ class TestBench:
                      "--json", str(path)]) == EXIT_OK
         printed = [line[:36].strip() for line in capsys.readouterr().out.splitlines()]
         d = json.loads(path.read_text())
-        assert set(d) == {"rows", "cold_start_vmhwm_mb", "versions", "cpu_count", "git_sha"}
+        assert set(d) == {"rows", "cold_start_vmhwm_mb", "versions", "cpu_count", "git_sha",
+                          "blas", "fft_workers", "thread_env"}
         assert [row["name"] for row in d["rows"]] == printed[:-1]
         assert all(set(row) == {"name", "ms"} for row in d["rows"])
         assert set(d["versions"]) == {"python", "numpy", "scipy"}
         assert d["git_sha"] is None or len(d["git_sha"]) == 40
+        assert set(d["thread_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+
+    def test_blas_is_null_where_scipy_cannot_report_it(self, monkeypatch):
+        import scipy
+
+        def old_show_config(mode=None):  # SciPy before 1.11 takes no mode
+            if mode is not None:
+                raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+        monkeypatch.setattr(scipy, "show_config", old_show_config)
+        assert cli._blas() is None
+        monkeypatch.setattr(scipy, "show_config", lambda mode=None: {"Build Dependencies": {}})
+        assert cli._blas() is None
 
     def test_git_sha_is_null_outside_a_repository_or_without_git(self, tmp_path,
                                                                       monkeypatch):

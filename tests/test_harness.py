@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pinbeam import (
     CurveParams,
@@ -32,7 +34,7 @@ import pinbeam.smoothing as smoothing
 from pinbeam.constructions import dead_strip_set
 from pinbeam.cache import LRUCache
 from pinbeam.fields import extremal_conv_field
-from pinbeam.harness import decay_sweep
+from pinbeam.harness import _block_arcs, decay_sweep
 from pinbeam.kernel import t_grid
 from pinbeam.prospect import ResolutionError, default_ladder
 from pinbeam.raster import complement_in_window
@@ -181,6 +183,36 @@ class TestDecomposition:
             compute_decomposition(generate_random(GridSpec(64), 0.4, 0), 3,
                                   default_ladder(3), cut, const)
         assert exc.value.min_resolution == 2**10
+
+    @given(n=st.sampled_from([2**k for k in range(2, 10)]), side=st.sampled_from([1.0, 0.75, 3.0]),
+           theta=st.floats(1.01, 3.0), beta=st.sampled_from([2.0, 3.0, 1.5]))
+    @settings(max_examples=200, deadline=None)
+    @example(n=4, side=1.0, theta=2.2, beta=2.0)  # advice N = 8
+    @example(n=4, side=1.0, theta=2.5, beta=3.0)  # no resolution
+    def test_arcs_span_advice_names_the_least_power_of_two(self, n, side, theta, beta):
+        # the advice is the least resolution past n at which the arcs no longer
+        # span the window, or none where their reach is the side or more
+        params, b = CurveParams(beta, 1.0, theta), 0.125
+        assume(theta * b >= side / n)  # the arcs span a cell
+
+        def spans(m):
+            try:
+                _block_arcs(GridSpec(m, side=side), params, 2, b)
+                return False
+            except ValueError as exc:
+                return "span" in str(exc) or "no resolution" in str(exc)
+
+        try:
+            _block_arcs(GridSpec(n, side=side), params, 2, b)
+        except ResolutionError as exc:
+            m = exc.min_resolution
+            assert "span the whole window" in str(exc)
+            assert m > n and m & (m - 1) == 0 and not spans(m)
+            assert m == 2 * n or spans(m // 2)
+        except ValueError as exc:
+            assert str(exc) == (f"block 2 arcs reach {theta**beta * b:g}, not below the window "
+                                f"side {side:g}: no resolution resolves block 2")
+            assert theta**beta * b >= side and spans(2**40)
 
     def test_deterministic_across_runs(self):
         cut = build_cutoff(P24, 32, 0.5)

@@ -180,6 +180,12 @@ class TestProspect:
         with pytest.raises(ValueError, match="empty"):
             prospect(empty, default_ladder(1), P24)
 
+    def test_vast_resolution_is_printed_as_a_power_of_two(self):
+        assert str(ResolutionError("x", 128)).endswith("resolution N = 128")
+        assert str(ResolutionError("x", 2**32)).endswith("resolution N = 4294967296")
+        assert str(ResolutionError("x", 2**33)).endswith("resolution N = 2^33")
+        assert ResolutionError("x", 2**1023).min_resolution == 2**1023
+
     def test_resolution_error_names_minimal_n(self):
         a = full_square(16)
         with pytest.raises(ResolutionError) as exc:
@@ -473,6 +479,16 @@ class TestBatchedScanMatchesReference:
         want = reference_prospect(a, ladder, params, sampling)
         assert isinstance(want, ExhaustionReport)
         assert prospect(a, ladder, params, sampling) == want
+
+    def test_strips_below_beta_one_are_the_swapped_strips(self):
+        # horizontal: every set row is full, and prospect exhausts on them
+        params, ladder = CurveParams(0.5, 1.0, 1.05**2), default_ladder(2)
+        a = dead_strip_set(64, params, ladder, 1, phase_cells=5)
+        want = axis_swap(dead_strip_set(64, params.swapped(), ladder, 1, phase_cells=5))
+        assert a.grid == want.grid and np.array_equal(a.bitmap, want.bitmap)
+        assert a.bitmap.all(axis=1).any() and not a.bitmap.all(axis=0).any()
+        got = prospect(a, default_ladder(1), params, SamplingConfig(nodes=64))
+        assert isinstance(got, ExhaustionReport)
 
     def test_swap_route(self):
         # beta < 1: the scan runs on the swapped raster, points come back swapped
